@@ -12,7 +12,12 @@
  *  - superblock: threaded-code superblock traces with computed-goto
  *    dispatch (PGSS_BACKEND=superblock).
  *
- * Since architectural work is identical across variants, the ops/s
+ * Two more run FunctionalWarm, the mode PGSS and SMARTS fast-forward
+ * in, with hashed BBV on (PGSS's configuration): the step() warm loop
+ * against the FastOp loop with warm hooks. Their work adds cache and
+ * predictor warming, identical across the pair.
+ *
+ * Since architectural work is identical within each table, the ops/s
  * deltas are pure dispatch cost. Best-of-3 per variant: the numbers
  * feed perf-smoke CI, where run-to-run noise on shared runners is
  * large.
@@ -23,6 +28,8 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/support.hh"
 #include "sim/engine.hh"
@@ -34,12 +41,14 @@ using namespace pgss;
 namespace
 {
 
-/** One dispatch variant: a backend plus the fast-path switch. */
+/** One dispatch variant: a backend, the fast-path switch, a mode. */
 struct Variant
 {
     const char *name;
     sim::ExecBackend backend;
     bool fast_path;
+    sim::SimMode mode = sim::SimMode::FunctionalFast;
+    bool hashed_bbv = false;
 };
 
 /** Best-of-3 ops/sec for @p v over @p total_ops per repetition. */
@@ -52,23 +61,24 @@ measure(const workload::BuiltWorkload &built, const Variant &v,
 
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
-        auto engine = std::make_unique<sim::SimulationEngine>(
-            built.program, config);
-        engine->setFastPathEnabled(v.fast_path);
-        // Warm: trace formation / decode-table build happens here,
+        const auto make = [&] {
+            auto e = std::make_unique<sim::SimulationEngine>(
+                built.program, config);
+            e->setFastPathEnabled(v.fast_path);
+            e->setHashedBbvEnabled(v.hashed_bbv);
+            return e;
+        };
+        auto engine = make();
+        // Warm-up: trace formation / decode-table build happens here,
         // so the timed region sees steady-state dispatch only.
-        engine->run(200'000, sim::SimMode::FunctionalFast);
+        engine->run(200'000, v.mode);
 
         const auto t0 = std::chrono::steady_clock::now();
         std::uint64_t ops = 0;
         while (ops < total_ops) {
-            if (engine->halted()) {
-                engine = std::make_unique<sim::SimulationEngine>(
-                    built.program, config);
-                engine->setFastPathEnabled(v.fast_path);
-            }
-            ops += engine->run(100'000, sim::SimMode::FunctionalFast)
-                       .ops;
+            if (engine->halted())
+                engine = make();
+            ops += engine->run(100'000, v.mode).ops;
         }
         const double secs =
             std::chrono::duration<double>(
@@ -87,8 +97,9 @@ main(int argc, char **argv)
     bench::init(argc, argv, "ff_microbench");
     bench::printHeader(
         "Fast-forward dispatch microbenchmark",
-        "Same workload, same architectural work, three dispatch "
-        "mechanisms; deltas are pure dispatch cost. Best-of-3.");
+        "Same workload, same work within each table, different "
+        "dispatch mechanisms; deltas are pure dispatch cost. "
+        "Best-of-3.");
 
     // Fixed small gzip build (as fig13's rate harness uses): the
     // comparison needs identical work per variant, not suite scale.
@@ -96,31 +107,46 @@ main(int argc, char **argv)
         workload::buildWorkload("164.gzip", 0.05);
 
     // Enough ops that dispatch dominates timer noise, small enough
-    // for a CI smoke step (3 variants x 3 reps x 4M ops).
+    // for a CI smoke step (5 variants x 3 reps x 4M ops).
     const std::uint64_t total_ops = 4'000'000;
 
-    const Variant variants[] = {
+    const std::vector<Variant> fast = {
         {"interp-step", sim::ExecBackend::Interp, false},
         {"interp-fastop", sim::ExecBackend::Interp, true},
         {"superblock", sim::ExecBackend::Superblock, true},
     };
+    const std::vector<Variant> warm = {
+        {"warm-step", sim::ExecBackend::Interp, false,
+         sim::SimMode::FunctionalWarm, true},
+        {"warm-fastop", sim::ExecBackend::Interp, true,
+         sim::SimMode::FunctionalWarm, true},
+    };
 
-    double rate[3] = {};
-    for (int i = 0; i < 3; ++i)
-        rate[i] = measure(built, variants[i], total_ops);
-
-    util::Table t("dispatch cost (164.gzip, FunctionalFast, no BBV)");
-    t.setHeader({"variant", "ops/s", "host MIPS", "vs interp-step"});
-    for (int i = 0; i < 3; ++i)
-        t.addRow({variants[i].name, util::Table::fmtSci(rate[i], 3),
-                  util::Table::fmt(rate[i] / 1e6, 1),
-                  util::Table::fmt(rate[i] / rate[0], 2) + "x"});
-    t.print(std::cout);
+    const auto table = [&](const char *title,
+                           const std::vector<Variant> &variants) {
+        std::vector<double> rate;
+        for (const Variant &v : variants)
+            rate.push_back(measure(built, v, total_ops));
+        util::Table t(title);
+        t.setHeader({"variant", "ops/s", "host MIPS",
+                     std::string("vs ") + variants[0].name});
+        for (std::size_t i = 0; i < variants.size(); ++i)
+            t.addRow({variants[i].name, util::Table::fmtSci(rate[i], 3),
+                      util::Table::fmt(rate[i] / 1e6, 1),
+                      util::Table::fmt(rate[i] / rate[0], 2) + "x"});
+        t.print(std::cout);
+    };
+    table("dispatch cost (164.gzip, FunctionalFast, no BBV)", fast);
+    std::printf("\n");
+    table("warm dispatch cost (164.gzip, FunctionalWarm, hashed BBV)",
+          warm);
 
     std::printf("\nexpected shape: fastop removes per-instruction "
                 "decode; superblock removes\nthe dispatch loop "
                 "itself (threaded code + in-trace branch "
-                "unrolling).\n");
+                "unrolling).\nIn warm mode fastop also drops the "
+                "DynInst record; cache and predictor\nwarming, the "
+                "same in both rows, bound the gain.\n");
     bench::finish();
     return 0;
 }

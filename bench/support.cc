@@ -119,6 +119,25 @@ appendJournalRecord(const std::string &stage, const std::string &entry,
                    stage.c_str(), entry.c_str());
 }
 
+/**
+ * Run @p body(i) for i in [0, n) on benchJobs() workers named
+ * "<pool>-<i>". One span per entry, opened on whichever worker runs
+ * it, so the Perfetto trace shows the suite fanning out across the
+ * pool — and the suite load and the entry runs as separate tracks.
+ */
+void
+runOnWorkers(std::size_t n, const char *pool,
+             const std::function<void(std::size_t)> &body)
+{
+    util::parallelFor(
+        n, benchJobs(),
+        [&body](std::size_t i) {
+            PGSS_SPAN("bench.entry", Bench);
+            body(i);
+        },
+        pool);
+}
+
 } // anonymous namespace
 
 void
@@ -198,7 +217,7 @@ loadSuite()
     // entry is independent (the profile cache writes distinct files),
     // so load on the harness workers. Slot-indexed assignment keeps
     // suite order regardless of completion order.
-    runEntriesParallel(names.size(), [&](std::size_t i) {
+    runOnWorkers(names.size(), "load", [&](std::size_t i) {
         entries[i] = loadEntry(names[i]);
     });
     return entries;
@@ -214,12 +233,7 @@ void
 runEntriesParallel(std::size_t n,
                    const std::function<void(std::size_t)> &body)
 {
-    // One span per entry, opened on whichever worker runs it, so the
-    // Perfetto trace shows the suite fanning out across the pool.
-    util::parallelFor(n, benchJobs(), [&body](std::size_t i) {
-        PGSS_SPAN("bench.entry", Bench);
-        body(i);
-    });
+    runOnWorkers(n, "entry", body);
 }
 
 void

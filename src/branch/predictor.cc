@@ -147,6 +147,26 @@ TournamentPredictor::update(std::uint64_t pc, bool taken)
     gshare_.update(pc, taken);
 }
 
+bool
+TournamentPredictor::train(std::uint64_t pc, bool taken)
+{
+    std::uint8_t &bim = bimodal_.table_[bimodal_.index(pc)];
+    std::uint8_t &gsh = gshare_.table_[gshare_.index(pc)];
+    std::uint8_t &choice =
+        chooser_[static_cast<std::uint32_t>(pc) & mask_];
+    const bool bim_taken = counter::taken(bim);
+    const bool gsh_taken = counter::taken(gsh);
+    const bool predicted = counter::taken(choice) ? gsh_taken : bim_taken;
+    if (bim_taken != gsh_taken)
+        choice = counter::update(choice, gsh_taken == taken);
+    bim = counter::update(bim, taken);
+    gsh = counter::update(gsh, taken);
+    gshare_.history_ =
+        ((gshare_.history_ << 1) | (taken ? 1 : 0)) &
+        gshare_.history_mask_;
+    return predicted;
+}
+
 void
 TournamentPredictor::reset()
 {

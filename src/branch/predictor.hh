@@ -66,6 +66,8 @@ class BimodalPredictor : public DirectionPredictor
     void setState(const std::vector<std::uint8_t> &st) override;
 
   private:
+    friend class TournamentPredictor; // fused train()
+
     std::uint32_t index(std::uint64_t pc) const;
     std::vector<std::uint8_t> table_;
     std::uint32_t mask_;
@@ -89,6 +91,8 @@ class GsharePredictor : public DirectionPredictor
     void setState(const std::vector<std::uint8_t> &st) override;
 
   private:
+    friend class TournamentPredictor; // fused train()
+
     std::uint32_t index(std::uint64_t pc) const;
     std::vector<std::uint8_t> table_;
     std::uint32_t mask_;
@@ -112,6 +116,13 @@ class TournamentPredictor : public DirectionPredictor
     void reset() override;
     std::vector<std::uint8_t> state() const override;
     void setState(const std::vector<std::uint8_t> &st) override;
+
+    /**
+     * predict(pc) followed by update(pc, taken), fused so each table
+     * entry is read once.
+     * @return the direction predict(pc) would have returned.
+     */
+    bool train(std::uint64_t pc, bool taken);
 
   private:
     BimodalPredictor bimodal_;

@@ -8,16 +8,17 @@
  * Two execution paths share the architectural state:
  *
  *  - step(): execute one instruction and fill a DynInst record with
- *    everything the timing model, branch predictors, and cache warming
- *    consume. Used by the warm and detailed modes.
- *  - runFast(): batched execution over a flat pre-decoded table
- *    (operands, immediates, and per-op behaviour resolved once at
- *    table build). No DynInst is populated; the only side channel is
- *    an optional BbvSink that receives (taken-branch address, ops)
- *    pairs, which is all BBV tracking needs. This is the
- *    functional-fast-forward hot path: >99% of simulated instructions
- *    run here, so host throughput in this loop dominates end-to-end
- *    wall clock (DESIGN.md section 9).
+ *    everything the timing model consumes. Used by the detailed
+ *    modes, and as the differential-testing oracle for the fast path.
+ *  - runFast()/runFastWith(): batched execution over a flat
+ *    pre-decoded table (operands, immediates, and per-op behaviour
+ *    resolved once at table build). No DynInst is populated. The side
+ *    channels are a taken-branch callback (all BBV tracking needs) and
+ *    optional compile-time warm hooks (I-fetch, data access, branch
+ *    outcome) for functional warming. Both fast-forward modes run
+ *    here: FunctionalFast without hooks, FunctionalWarm with them. A
+ *    PGSS run spends ~99% of its host time in the warm instantiation
+ *    (DESIGN.md section 9.5).
  */
 
 #ifndef PGSS_CPU_FUNCTIONAL_CORE_HH
@@ -105,6 +106,26 @@ class BbvSink
 };
 
 /**
+ * Warm hooks for runFastWith(): the no-op set FunctionalFast runs
+ * with. A warming consumer supplies a type with the same four members;
+ * per op the loop calls fetch(pc) first, then data() for a load or
+ * store, then branch() or jump() for a control transfer — the order
+ * the step() warm loop warms in, which matters because the L1I and
+ * L1D share the L2.
+ */
+struct NoWarm
+{
+    /** About to execute the instruction at index @p pc. */
+    void fetch(std::uint64_t) {}
+    /** A load (@p is_store false) or store touched byte @p addr. */
+    void data(std::uint64_t, bool) {}
+    /** Conditional branch at @p pc resolved to @p next_pc. */
+    void branch(std::uint64_t, bool, std::uint64_t) {}
+    /** Jal/Jalr at @p pc transferred to @p next_pc. */
+    void jump(std::uint64_t, std::uint64_t) {}
+};
+
+/**
  * One pre-decoded fast-path operation. Destination registers are
  * remapped at table build: writes to r0 target a scratch slot past the
  * architectural file, so the dispatch loop needs no r0 check.
@@ -153,20 +174,24 @@ class FunctionalCore
 
     /**
      * The fast-path loop itself, templated over the taken-branch
-     * callback so engine-level consumers (the BBV trackers) get a
-     * fully inlined call per taken branch instead of a virtual
-     * dispatch — runFast() is a thin wrapper over this. Defined at
-     * the bottom of this header.
+     * callback and the warm hooks, so engine-level consumers (the BBV
+     * trackers, cache and predictor warming) get fully inlined calls
+     * instead of a virtual dispatch — runFast() is a thin wrapper over
+     * this. Defined at the bottom of this header, and never inlined
+     * into its caller: inlining the FunctionalFast instantiations
+     * into the engine's dispatcher slowed that loop down, and one
+     * call per chunk costs nothing.
      * @param ops_since_taken carried in/out across calls: instructions
      *        retired since the last taken control transfer.
      * @param on_taken invoked as on_taken(branch_addr, ops_since_last)
      *        for every taken transfer.
+     * @param warm warm hooks (see NoWarm for the contract).
      * @return instructions retired (0 when already halted).
      */
-    template <typename OnTaken>
-    std::uint64_t runFastWith(std::uint64_t n,
-                              std::uint64_t &ops_since_taken,
-                              OnTaken &&on_taken);
+    template <typename OnTaken, typename Warm = NoWarm>
+    [[gnu::noinline]] std::uint64_t
+    runFastWith(std::uint64_t n, std::uint64_t &ops_since_taken,
+                OnTaken &&on_taken, Warm &&warm = Warm{});
 
     /** True after Halt has retired. */
     bool halted() const { return halted_; }
@@ -223,11 +248,11 @@ class FunctionalCore
     std::vector<FastOp> fast_table_; ///< built lazily by runFast()
 };
 
-template <typename OnTaken>
+template <typename OnTaken, typename Warm>
 std::uint64_t
 FunctionalCore::runFastWith(std::uint64_t n,
                             std::uint64_t &ops_since_taken,
-                            OnTaken &&on_taken)
+                            OnTaken &&on_taken, Warm &&warm)
 {
     using isa::Opcode;
 
@@ -257,6 +282,7 @@ FunctionalCore::runFastWith(std::uint64_t n,
         util::panicIf(pc >= code_size,
                       "PC ran off the end of the program");
         const FastOp &f = table[pc];
+        warm.fetch(pc);
         const std::uint64_t a = regs[f.rs1];
         const std::uint64_t b = regs[f.rs2];
         std::uint64_t next = pc + 1;
@@ -337,6 +363,7 @@ FunctionalCore::runFastWith(std::uint64_t n,
             util::panicIf((addr & 7) != 0, "unaligned memory read");
             const std::uint64_t w = addr >> 3;
             util::panicIf(w >= mem_words, "memory read out of range");
+            warm.data(addr, false);
             regs[f.rd] = mem[w];
             break;
           }
@@ -347,6 +374,7 @@ FunctionalCore::runFastWith(std::uint64_t n,
             const std::uint64_t w = addr >> 3;
             util::panicIf(w >= mem_words,
                           "memory write out of range");
+            warm.data(addr, true);
             mem[w] = b;
             page_dirty[w >> mem::MainMemory::page_shift] = 1;
             break;
@@ -356,12 +384,14 @@ FunctionalCore::runFastWith(std::uint64_t n,
                 taken = true;
                 next = static_cast<std::uint64_t>(f.imm);
             }
+            warm.branch(pc, taken, next);
             break;
           case Opcode::Bne:
             if (a != b) {
                 taken = true;
                 next = static_cast<std::uint64_t>(f.imm);
             }
+            warm.branch(pc, taken, next);
             break;
           case Opcode::Blt:
             if (static_cast<std::int64_t>(a) <
@@ -369,6 +399,7 @@ FunctionalCore::runFastWith(std::uint64_t n,
                 taken = true;
                 next = static_cast<std::uint64_t>(f.imm);
             }
+            warm.branch(pc, taken, next);
             break;
           case Opcode::Bge:
             if (static_cast<std::int64_t>(a) >=
@@ -376,16 +407,19 @@ FunctionalCore::runFastWith(std::uint64_t n,
                 taken = true;
                 next = static_cast<std::uint64_t>(f.imm);
             }
+            warm.branch(pc, taken, next);
             break;
           case Opcode::Jal:
             regs[f.rd] = pc + 1;
             taken = true;
             next = static_cast<std::uint64_t>(f.imm);
+            warm.jump(pc, next);
             break;
           case Opcode::Jalr:
             regs[f.rd] = pc + 1;
             taken = true;
             next = a + static_cast<std::uint64_t>(f.imm);
+            warm.jump(pc, next);
             break;
           case Opcode::Nop:
             break;

@@ -68,6 +68,14 @@ class Cache
      */
     CacheAccessResult access(std::uint64_t addr, bool is_write);
 
+    /**
+     * The hit half of access(), inline for the warming hot path: on a
+     * hit, update LRU, dirty bit and stats exactly as access() would
+     * and return true; on a miss, change nothing and return false, so
+     * the caller can fall back to access().
+     */
+    bool touchIfHit(std::uint64_t addr, bool is_write);
+
     /** True if the line containing @p addr is currently resident. */
     bool probe(std::uint64_t addr) const;
 
@@ -110,11 +118,15 @@ class Cache
     void setState(const State &st);
 
   private:
-    std::uint64_t lineIndex(std::uint64_t addr) const;
+    std::uint64_t lineIndex(std::uint64_t addr) const
+    {
+        return addr >> set_shift_;
+    }
 
     CacheConfig config_;
     std::uint32_t num_sets_;
     std::uint32_t set_shift_;  ///< log2(line_bytes)
+    std::uint32_t tag_shift_;  ///< log2(num_sets)
     std::uint64_t set_mask_;
 
     // Flattened [set][way] arrays.
@@ -126,6 +138,25 @@ class Cache
 
     CacheStats stats_;
 };
+
+inline bool
+Cache::touchIfHit(std::uint64_t addr, bool is_write)
+{
+    const std::uint64_t line = lineIndex(addr);
+    const std::uint64_t tag = line >> tag_shift_;
+    const std::size_t base =
+        static_cast<std::size_t>(line & set_mask_) * config_.assoc;
+    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
+        const std::size_t i = base + w;
+        if (valid_[i] && tags_[i] == tag) {
+            stamp_[i] = ++tick_;
+            dirty_[i] |= is_write ? 1 : 0;
+            ++stats_.hits;
+            return true;
+        }
+    }
+    return false;
+}
 
 } // namespace pgss::mem
 

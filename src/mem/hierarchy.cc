@@ -40,22 +40,21 @@ CacheHierarchy::instFetch(std::uint64_t addr)
 }
 
 void
-CacheHierarchy::warmData(std::uint64_t addr, bool is_write)
+CacheHierarchy::warmDataMiss(std::uint64_t addr, bool is_write)
 {
-    CacheAccessResult l1 = l1d_.access(addr, is_write);
-    if (l1.hit)
-        return;
+    // touchIfHit() just missed and changed nothing, so this access()
+    // is the L1 miss, with tick and stats exactly as a plain access.
+    const CacheAccessResult l1 = l1d_.access(addr, is_write);
     if (l1.writeback)
         l2_.access(l1.victim_addr, true);
     l2_.access(addr, false);
 }
 
 void
-CacheHierarchy::warmInst(std::uint64_t addr)
+CacheHierarchy::warmInstMiss(std::uint64_t addr)
 {
-    CacheAccessResult l1 = l1i_.access(addr, false);
-    if (!l1.hit)
-        l2_.access(addr, false);
+    l1i_.access(addr, false); // an L1 miss, as in warmDataMiss()
+    l2_.access(addr, false);
 }
 
 void

@@ -56,11 +56,24 @@ class CacheHierarchy
      */
     std::uint32_t instFetch(std::uint64_t addr);
 
-    /** Untimed data access: updates tag state only. */
-    void warmData(std::uint64_t addr, bool is_write);
+    /**
+     * Untimed data access: updates tag state only. The L1 hit path is
+     * inline; misses take the out-of-line access() route.
+     */
+    void
+    warmData(std::uint64_t addr, bool is_write)
+    {
+        if (!l1d_.touchIfHit(addr, is_write))
+            warmDataMiss(addr, is_write);
+    }
 
-    /** Untimed instruction-fetch warming. */
-    void warmInst(std::uint64_t addr);
+    /** Untimed instruction-fetch warming (inline L1 hit path). */
+    void
+    warmInst(std::uint64_t addr)
+    {
+        if (!l1i_.touchIfHit(addr, false))
+            warmInstMiss(addr);
+    }
 
     /** Invalidate every level. */
     void flushAll();
@@ -94,6 +107,9 @@ class CacheHierarchy
     void setState(const State &st);
 
   private:
+    void warmDataMiss(std::uint64_t addr, bool is_write);
+    void warmInstMiss(std::uint64_t addr);
+
     HierarchyConfig config_;
     Cache l1i_;
     Cache l1d_;

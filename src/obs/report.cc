@@ -1,12 +1,18 @@
 #include "obs/report.hh"
 
 #include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "obs/json.hh"
 #include "obs/perf.hh"
@@ -18,6 +24,7 @@
 #include "util/env.hh"
 #include "util/fi.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace pgss::obs
 {
@@ -52,6 +59,15 @@ state()
  * exit paths never write the report twice.
  */
 std::atomic<bool> g_finalized{false};
+
+/**
+ * Held for the whole of finalize() and of the emergency flush. A
+ * signal flush runs on the watcher thread while the main thread goes
+ * on; when the main thread reaches finalize() or the atexit flush, it
+ * waits here until the watcher is done, so no flush ever reads state
+ * that static destruction has torn down.
+ */
+std::mutex g_flush_mutex;
 
 /** Value of "--<flag>=..." when @p arg matches, else nullptr. */
 const char *
@@ -143,22 +159,18 @@ writeTimelineCsv()
 /**
  * Best-effort flush on abnormal exit: drain the trace sink and write
  * the report/CSV marked partial. Called from std::atexit and from the
- * SIGINT/SIGTERM handler; the handler path is technically not
- * async-signal-safe (it allocates and does stdio), which is the
- * accepted trade for getting diagnostics out of an interrupted run —
- * the alternative is losing them, and the process is about to die
- * anyway.
+ * signal watcher thread (never from a signal handler: it allocates,
+ * writes files and joins the telemetry threads).
  */
 void
 emergencyFlush(const char *why)
 {
+    std::lock_guard<std::mutex> lock(g_flush_mutex);
     if (g_finalized.exchange(true))
         return;
     // The telemetry server stops first: the port is released (and
     // immediately rebindable) before any report writing starts, and
-    // no scrape can observe the registry mid-flush. Joining threads
-    // here is as async-signal-unsafe as the rest of this path — same
-    // accepted trade.
+    // no scrape can observe the registry mid-flush.
     stopTelemetry();
     state().partial = true;
     setReportMeta("exit_reason", std::string(why));
@@ -168,7 +180,8 @@ emergencyFlush(const char *why)
     // the Perfetto trace are written from whatever each thread had
     // recorded (wrapped rings carry their truncation markers). The
     // reads are best-effort — workers may still be running — which
-    // is the same trade the rest of this path accepts.
+    // is the accepted trade for getting diagnostics out of an
+    // interrupted run.
     writeReportFile();
     writeTimelineCsv();
     writeProfileTrace();
@@ -180,19 +193,90 @@ obsAtexitFlush()
     emergencyFlush("atexit");
 }
 
+/**
+ * SIGINT/SIGTERM self-pipe. The handler only writes the signal number
+ * to the pipe, which is async-signal-safe; the watcher thread reading
+ * the other end does the flush and then re-raises. The pid records
+ * which process owns the watcher: a forked child inherits the handler
+ * and the descriptors but not the thread.
+ */
+std::atomic<int> g_signal_pipe_rd{-1};
+std::atomic<int> g_signal_pipe_wr{-1};
+std::atomic<pid_t> g_watcher_pid{0};
+
 extern "C" void
 obsSignalFlush(int sig)
 {
-    emergencyFlush(sig == SIGINT ? "sigint" : "sigterm");
-    // Restore and re-raise so the exit status still reports the
-    // signal to the parent (shell, ctest, CI).
+    const int saved_errno = errno;
+    const int fd = g_signal_pipe_wr.load(std::memory_order_relaxed);
+    if (fd >= 0 && g_watcher_pid.load() == ::getpid()) {
+        const unsigned char b = static_cast<unsigned char>(sig);
+        if (::write(fd, &b, 1) == 1) {
+            errno = saved_errno;
+            return;
+        }
+    }
+    // No watcher in this process: die of the signal, unflushed.
     std::signal(sig, SIG_DFL);
     std::raise(sig);
 }
 
 void
+signalWatcher(int fd)
+{
+    util::setCurrentThreadName("signal-watcher");
+    unsigned char b = 0;
+    ssize_t got = 0;
+    do {
+        got = ::read(fd, &b, 1);
+    } while (got < 0 && errno == EINTR);
+    if (got != 1)
+        return;
+    const int sig = b;
+    emergencyFlush(sig == SIGINT ? "sigint" : "sigterm");
+    // Restore and re-raise so the exit status still reports the
+    // signal to the parent (shell, ctest, CI). Nothing after the
+    // flush touches an object with a destructor, so exit() racing
+    // this thread is harmless.
+    std::signal(sig, SIG_DFL);
+    std::raise(sig);
+}
+
+/** Start this process's watcher (again, in a forked child). */
+void
+startSignalWatcher()
+{
+    if (g_watcher_pid.load() == ::getpid())
+        return;
+    // Descriptors inherited from a parent's watcher are not ours.
+    for (std::atomic<int> *fd : {&g_signal_pipe_rd, &g_signal_pipe_wr}) {
+        const int old = fd->exchange(-1);
+        if (old >= 0)
+            ::close(old);
+    }
+    int fds[2] = {-1, -1};
+    if (::pipe2(fds, O_CLOEXEC) != 0) {
+        util::warn("report: no signal pipe (%s); SIGINT/SIGTERM will "
+                   "not flush a partial report",
+                   std::strerror(errno));
+        return;
+    }
+    // The handler must never block on a full pipe.
+    ::fcntl(fds[1], F_SETFL, ::fcntl(fds[1], F_GETFL) | O_NONBLOCK);
+    g_signal_pipe_rd.store(fds[0]);
+    g_signal_pipe_wr.store(fds[1]);
+    // Detached on purpose: it blocks in read() for the life of the
+    // process and ends the process itself after a flush. Joining at
+    // exit would need a wake-up protocol, and a forked child inherits
+    // the handle but not the thread, so could never join it.
+    std::thread(signalWatcher, fds[0]).detach();
+    g_watcher_pid.store(::getpid());
+}
+
+void
 installExitHandlers()
 {
+    startSignalWatcher();
     static bool installed = false;
     if (installed)
         return;
@@ -451,6 +535,7 @@ reportJsonString()
 bool
 finalize()
 {
+    std::lock_guard<std::mutex> lock(g_flush_mutex);
     g_finalized.store(true);
     // Stop serving before assembling outputs: no scrape observes the
     // final report mid-write, and the port is free when main() ends.

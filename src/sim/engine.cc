@@ -1,5 +1,6 @@
 #include "sim/engine.hh"
 
+#include <bit>
 #include <string>
 
 #include "cpu/trace_cache.hh"
@@ -185,6 +186,41 @@ SimulationEngine::trackBbv(const cpu::DynInst &rec)
     ops_since_taken_ = 0;
 }
 
+template <bool with_bbv, typename Run>
+std::uint64_t
+SimulationEngine::withBbvCallback(Run &&run)
+{
+    // One callback shape per BBV configuration, shared by every fast
+    // loop (FastOp with and without warm hooks, superblock). With BBV
+    // off the carried ops_since_taken_ is left untouched, exactly as
+    // the step() loop leaves it. In the dominant configuration —
+    // hashed BBV only — the callback is a single inlined LUT-hash
+    // accumulate, with no virtual dispatch anywhere on the path.
+    if constexpr (with_bbv) {
+        if (hashed_bbv_enabled_ && !full_bbv_enabled_) {
+            bbv::HashedBbv &hashed = hashed_bbv_;
+            return run(ops_since_taken_,
+                       [&hashed](std::uint64_t addr, std::uint64_t ops) {
+                           hashed.onTakenBranch(addr, ops);
+                       });
+        }
+        bbv::HashedBbv *hashed =
+            hashed_bbv_enabled_ ? &hashed_bbv_ : nullptr;
+        bbv::FullBbvCollector *full =
+            full_bbv_enabled_ ? &full_bbv_ : nullptr;
+        return run(ops_since_taken_,
+                   [hashed, full](std::uint64_t addr, std::uint64_t ops) {
+                       if (hashed)
+                           hashed->onTakenBranch(addr, ops);
+                       if (full)
+                           full->onTakenBranch(addr, ops);
+                   });
+    } else {
+        std::uint64_t since = 0;
+        return run(since, [](std::uint64_t, std::uint64_t) {});
+    }
+}
+
 template <bool with_bbv>
 std::uint64_t
 SimulationEngine::runSuperblock(std::uint64_t n)
@@ -194,78 +230,105 @@ SimulationEngine::runSuperblock(std::uint64_t n)
             *core_, cpu::traceCache().loadOrForm(
                         program_, config_.superblock));
     }
-    // The same three callback shapes as the interpreter fast path
-    // below; the backends must stay drop-in replacements for each
-    // other, including the no-BBV case never touching
-    // ops_since_taken_.
-    if constexpr (with_bbv) {
-        if (hashed_bbv_enabled_ && !full_bbv_enabled_) {
-            bbv::HashedBbv &hashed = hashed_bbv_;
-            return superblock_->run(
-                n, ops_since_taken_,
-                [&hashed](std::uint64_t addr, std::uint64_t ops) {
-                    hashed.onTakenBranch(addr, ops);
-                });
-        }
-        bbv::HashedBbv *hashed =
-            hashed_bbv_enabled_ ? &hashed_bbv_ : nullptr;
-        bbv::FullBbvCollector *full =
-            full_bbv_enabled_ ? &full_bbv_ : nullptr;
-        return superblock_->run(
-            n, ops_since_taken_,
-            [hashed, full](std::uint64_t addr, std::uint64_t ops) {
-                if (hashed)
-                    hashed->onTakenBranch(addr, ops);
-                if (full)
-                    full->onTakenBranch(addr, ops);
-            });
-    } else {
-        std::uint64_t since = 0;
-        return superblock_->run(
-            n, since, [](std::uint64_t, std::uint64_t) {});
-    }
+    return withBbvCallback<with_bbv>(
+        [this, n](std::uint64_t &since, auto &&on_taken) {
+            return superblock_->run(n, since, on_taken);
+        });
 }
+
+namespace
+{
+
+/**
+ * Functional-warming hooks for FunctionalCore::runFastWith (see
+ * cpu::NoWarm for the contract): the I-line dedup, untimed cache
+ * accesses and predictor training the step() warm loop performs, in
+ * the same order and on the same carried state.
+ */
+struct WarmHooks
+{
+    mem::CacheHierarchy &hierarchy;
+    timing::BranchUnit &branch_unit;
+    const isa::Instruction *code;
+    std::uint64_t &fetch_line; ///< the engine's warm_fetch_line_
+    std::uint32_t bytes_per_inst;
+    std::uint32_t line_shift; ///< log2(L1I line bytes)
+
+    void
+    fetch(std::uint64_t pc)
+    {
+        const std::uint64_t addr = pc * bytes_per_inst;
+        const std::uint64_t line = addr >> line_shift;
+        if (line != fetch_line) {
+            fetch_line = line;
+            hierarchy.warmInst(addr);
+        }
+    }
+
+    void
+    data(std::uint64_t addr, bool is_store)
+    {
+        hierarchy.warmData(addr, is_store);
+    }
+
+    void
+    branch(std::uint64_t pc, bool taken, std::uint64_t next_pc)
+    {
+        branch_unit.trainBranch(pc, taken, next_pc);
+    }
+
+    void
+    jump(std::uint64_t pc, std::uint64_t next_pc)
+    {
+        // Classified from the original instruction: the FastOp's rd
+        // is remapped when it names r0.
+        const isa::Instruction &inst = code[pc];
+        branch_unit.trainJump(pc, next_pc,
+                              branch_unit.isCall(inst.op, inst.rd),
+                              branch_unit.isReturn(inst.op, inst.rs1));
+    }
+};
+
+} // anonymous namespace
 
 template <bool with_bbv>
 std::uint64_t
 SimulationEngine::runFunctional(std::uint64_t n, bool warm)
 {
-    if (!warm && fast_path_enabled_ && use_superblock_)
-        return runSuperblock<with_bbv>(n);
-    if (!warm && fast_path_enabled_) {
-        // Fast-forward fast path: batched pre-decoded dispatch, no
-        // DynInst population. The taken-branch callback is the only
-        // side channel; ops_since_taken_ carries across chunks (by
-        // reference) so harvests match the step() path bit for bit.
-        // In the dominant configuration — hashed BBV only — the
-        // callback is a single inlined LUT-hash accumulate, with no
-        // virtual dispatch anywhere on the path.
-        if constexpr (with_bbv) {
-            if (hashed_bbv_enabled_ && !full_bbv_enabled_) {
-                bbv::HashedBbv &hashed = hashed_bbv_;
-                return core_->runFastWith(
-                    n, ops_since_taken_,
-                    [&hashed](std::uint64_t addr, std::uint64_t ops) {
-                        hashed.onTakenBranch(addr, ops);
-                    });
-            }
-            bbv::HashedBbv *hashed =
-                hashed_bbv_enabled_ ? &hashed_bbv_ : nullptr;
-            bbv::FullBbvCollector *full =
-                full_bbv_enabled_ ? &full_bbv_ : nullptr;
-            return core_->runFastWith(
-                n, ops_since_taken_,
-                [hashed, full](std::uint64_t addr, std::uint64_t ops) {
-                    if (hashed)
-                        hashed->onTakenBranch(addr, ops);
-                    if (full)
-                        full->onTakenBranch(addr, ops);
-                });
-        } else {
-            return core_->runFast(n, nullptr);
-        }
+    if (!fast_path_enabled_)
+        return runStep<with_bbv>(n, warm);
+    if (warm) {
+        // PGSS/SMARTS fast-forward: the FastOp loop with warm hooks.
+        WarmHooks hooks{*hierarchy_,
+                        *branch_unit_,
+                        program_.code.data(),
+                        warm_fetch_line_,
+                        config_.pipeline.bytes_per_inst,
+                        static_cast<std::uint32_t>(std::countr_zero(
+                            config_.hierarchy.l1i.line_bytes))};
+        return withBbvCallback<with_bbv>(
+            [this, n, &hooks](std::uint64_t &since, auto &&on_taken) {
+                return core_->runFastWith(n, since, on_taken, hooks);
+            });
     }
+    if (use_superblock_)
+        return runSuperblock<with_bbv>(n);
+    // Fast-forward fast path: batched pre-decoded dispatch, no
+    // DynInst population. ops_since_taken_ carries across chunks (by
+    // reference) so harvests match the step() path bit for bit.
+    return withBbvCallback<with_bbv>(
+        [this, n](std::uint64_t &since, auto &&on_taken) {
+            return core_->runFastWith(n, since, on_taken);
+        });
+}
 
+template <bool with_bbv>
+std::uint64_t
+SimulationEngine::runStep(std::uint64_t n, bool warm)
+{
+    // The step() interpreter: the differential-testing oracle for both
+    // fast-forward modes (setFastPathEnabled(false)), never a
+    // production path.
     cpu::DynInst rec;
     const std::uint32_t line_bytes = config_.hierarchy.l1i.line_bytes;
     const std::uint32_t bytes_per_inst = config_.pipeline.bytes_per_inst;

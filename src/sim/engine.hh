@@ -220,8 +220,9 @@ class SimulationEngine
 
     /**
      * Enable/disable the batched fast-forward fast path (on by
-     * default). FunctionalFast mode then falls back to the step()
-     * interpreter — only useful for differential testing.
+     * default). Both fast-forward modes (FunctionalFast and
+     * FunctionalWarm) then fall back to the step() interpreter — the
+     * oracle the differential tests compare the fast path against.
      */
     void setFastPathEnabled(bool enabled)
     {
@@ -236,8 +237,12 @@ class SimulationEngine
     timing::InOrderPipeline &pipeline() { return *pipeline_; }
 
   private:
+    template <bool with_bbv, typename Run>
+    std::uint64_t withBbvCallback(Run &&run);
     template <bool with_bbv>
     std::uint64_t runFunctional(std::uint64_t n, bool warm);
+    template <bool with_bbv>
+    std::uint64_t runStep(std::uint64_t n, bool warm);
     template <bool with_bbv>
     std::uint64_t runSuperblock(std::uint64_t n);
     template <bool with_bbv>

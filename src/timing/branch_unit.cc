@@ -16,55 +16,63 @@ BranchUnit::BranchUnit(const BranchUnitConfig &config)
 bool
 BranchUnit::predictAndTrain(const cpu::DynInst &rec)
 {
-    const std::uint64_t pc_addr = isa::instAddr(rec.pc);
-    const std::uint64_t target_addr = isa::instAddr(rec.next_pc);
+    if (rec.is_branch)
+        return trainBranch(rec.pc, rec.taken, rec.next_pc);
+    if (rec.is_jump)
+        return trainJump(rec.pc, rec.next_pc, isCall(rec.op, rec.rd),
+                         isReturn(rec.op, rec.rs1));
+    return false;
+}
+
+bool
+BranchUnit::trainBranch(std::uint64_t pc, bool taken,
+                        std::uint64_t next_pc)
+{
+    const std::uint64_t pc_addr = isa::instAddr(pc);
+    ++stats_.branches;
+    bool mispredict = predictor_.train(pc_addr, taken) != taken;
+    if (taken) {
+        const std::uint64_t target_addr = isa::instAddr(next_pc);
+        // The BTB is looked up only when the direction was right.
+        std::uint64_t pred_target = 0;
+        if (!mispredict && (!btb_.lookup(pc_addr, pred_target) ||
+                            pred_target != target_addr))
+            mispredict = true;
+        btb_.update(pc_addr, target_addr);
+        ++stats_.taken;
+    }
+    if (mispredict)
+        ++stats_.mispredicts;
+    return mispredict;
+}
+
+bool
+BranchUnit::trainJump(std::uint64_t pc, std::uint64_t next_pc,
+                      bool is_call, bool is_return)
+{
+    const std::uint64_t pc_addr = isa::instAddr(pc);
+    const std::uint64_t target_addr = isa::instAddr(next_pc);
+    ++stats_.jumps;
 
     bool mispredict = false;
-
-    if (rec.is_branch) {
-        ++stats_.branches;
-        const bool pred_taken = predictor_.predict(pc_addr);
-        if (pred_taken != rec.taken) {
-            mispredict = true;
-        } else if (rec.taken) {
-            std::uint64_t pred_target = 0;
-            if (!btb_.lookup(pc_addr, pred_target) ||
-                pred_target != target_addr) {
-                mispredict = true;
-            }
-        }
-        predictor_.update(pc_addr, rec.taken);
-        if (rec.taken)
-            btb_.update(pc_addr, target_addr);
-    } else if (rec.is_jump) {
-        ++stats_.jumps;
-        const bool is_call =
-            rec.op == isa::Opcode::Jal && rec.rd == config_.link_reg;
-        const bool is_return =
-            rec.op == isa::Opcode::Jalr && rec.rs1 == config_.link_reg;
-
-        if (is_return) {
-            // Returns are predicted through the RAS.
-            const std::uint64_t pred = ras_.pop();
-            mispredict = pred != target_addr;
-            if (mispredict)
-                ++stats_.ras_mispredicts;
-        } else {
-            std::uint64_t pred_target = 0;
-            if (!btb_.lookup(pc_addr, pred_target) ||
-                pred_target != target_addr) {
-                mispredict = true;
-            }
-            btb_.update(pc_addr, target_addr);
-        }
-        if (is_call)
-            ras_.push(isa::instAddr(rec.pc + 1));
+    if (is_return) {
+        // Returns are predicted through the RAS.
+        const std::uint64_t pred = ras_.pop();
+        mispredict = pred != target_addr;
+        if (mispredict)
+            ++stats_.ras_mispredicts;
     } else {
-        return false;
+        std::uint64_t pred_target = 0;
+        if (!btb_.lookup(pc_addr, pred_target) ||
+            pred_target != target_addr) {
+            mispredict = true;
+        }
+        btb_.update(pc_addr, target_addr);
     }
+    if (is_call)
+        ras_.push(isa::instAddr(pc + 1));
 
-    if (rec.taken)
-        ++stats_.taken;
+    ++stats_.taken;
     if (mispredict)
         ++stats_.mispredicts;
     return mispredict;

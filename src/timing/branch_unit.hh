@@ -54,9 +54,11 @@ struct BranchStats
 };
 
 /**
- * Owns all branch-prediction state and exposes the single operation
- * both simulation modes need: predict this control instruction and
- * train on its outcome.
+ * Owns all branch-prediction state and exposes the one operation both
+ * simulation modes need: predict this control instruction and train
+ * on its outcome. trainBranch()/trainJump() are the implementation;
+ * predictAndTrain() unpacks a DynInst into them, and the warm fast
+ * path calls them directly without building one.
  */
 class BranchUnit
 {
@@ -70,6 +72,39 @@ class BranchUnit
      *         direction, or taken with a wrong/missing target.
      */
     bool predictAndTrain(const cpu::DynInst &rec);
+
+    /**
+     * Predict and train on one retired conditional branch.
+     * @param pc instruction index of the branch.
+     * @param taken resolved direction.
+     * @param next_pc index of the next instruction (the target when
+     *        taken).
+     * @return true when the front end would have misfetched.
+     */
+    bool trainBranch(std::uint64_t pc, bool taken,
+                     std::uint64_t next_pc);
+
+    /**
+     * Predict and train on one retired unconditional jump (always
+     * taken). Classify it with isCall()/isReturn().
+     * @return true when the front end would have misfetched.
+     */
+    bool trainJump(std::uint64_t pc, std::uint64_t next_pc,
+                   bool is_call, bool is_return);
+
+    /** Jal writing the link register: a call (pushes the RAS). */
+    bool
+    isCall(isa::Opcode op, std::uint8_t rd) const
+    {
+        return op == isa::Opcode::Jal && rd == config_.link_reg;
+    }
+
+    /** Jalr through the link register: a return (pops the RAS). */
+    bool
+    isReturn(isa::Opcode op, std::uint8_t rs1) const
+    {
+        return op == isa::Opcode::Jalr && rs1 == config_.link_reg;
+    }
 
     /** Accumulated statistics. */
     const BranchStats &stats() const { return stats_; }

@@ -296,8 +296,6 @@ HttpServer::workerLoop()
             pending_.pop_front();
         }
         serveConnection(conn);
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++served_;
     }
 }
 
@@ -314,6 +312,12 @@ HttpServer::serveConnection(int fd)
         resp = dispatch(req);
     }
     sendAll(fd, frameResponse(resp));
+    {
+        // Counted before the close: a client that has read the whole
+        // response (EOF) always sees it in requestsServed().
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++served_;
+    }
     ::close(fd);
 }
 

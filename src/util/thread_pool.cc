@@ -25,14 +25,16 @@ currentThreadName()
     return t_thread_name;
 }
 
-ThreadPool::ThreadPool(std::size_t workers)
+ThreadPool::ThreadPool(std::size_t workers,
+                       const std::string &name_prefix)
 {
     if (workers == 0)
         workers = 1;
     workers_.reserve(workers);
     for (std::size_t i = 0; i < workers; ++i)
-        workers_.emplace_back([this, i] {
-            setCurrentThreadName("pool-" + std::to_string(i));
+        workers_.emplace_back([this, name = name_prefix + "-" +
+                                            std::to_string(i)] {
+            setCurrentThreadName(name);
             workerLoop();
         });
 }
@@ -93,7 +95,8 @@ ThreadPool::workerLoop()
 
 void
 parallelFor(std::size_t n, std::size_t jobs,
-            const std::function<void(std::size_t)> &body)
+            const std::function<void(std::size_t)> &body,
+            const std::string &name_prefix)
 {
     if (n == 0)
         return;
@@ -108,7 +111,7 @@ parallelFor(std::size_t n, std::size_t jobs,
     // uneven cost (workload lengths differ by orders of magnitude),
     // so dynamic dispatch keeps all workers busy until the tail.
     std::atomic<std::size_t> next{0};
-    ThreadPool pool(jobs);
+    ThreadPool pool(jobs, name_prefix);
     for (std::size_t w = 0; w < jobs; ++w) {
         pool.submit([&] {
             while (true) {

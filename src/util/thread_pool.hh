@@ -30,7 +30,7 @@ namespace pgss::util
 
 /**
  * Name the calling thread for diagnostics (span profiler tracks,
- * log prefixes). ThreadPool names its workers "pool-<i>"; the
+ * log prefixes). ThreadPool names its workers "<prefix>-<i>"; the
  * initial thread defaults to "main". Names are thread-local and
  * carry no synchronization cost for readers on the same thread.
  */
@@ -43,8 +43,13 @@ const std::string &currentThreadName();
 class ThreadPool
 {
   public:
-    /** Start @p workers threads (clamped to at least 1). */
-    explicit ThreadPool(std::size_t workers);
+    /**
+     * Start @p workers threads (clamped to at least 1), named
+     * "<name_prefix>-<i>" so distinct pools show as distinct tracks
+     * in a profile.
+     */
+    explicit ThreadPool(std::size_t workers,
+                        const std::string &name_prefix = "pool");
 
     /** Waits for all submitted tasks, then joins the workers. */
     ~ThreadPool();
@@ -74,12 +79,13 @@ class ThreadPool
 
 /**
  * Run @p body(i) for every i in [0, n), spread over @p jobs workers
- * (at most n). jobs <= 1 runs inline on the calling thread, in order,
- * with no pool at all. @p body must be safe to call concurrently for
- * distinct i when jobs > 1.
+ * (at most n) named "<name_prefix>-<i>". jobs <= 1 runs inline on the
+ * calling thread, in order, with no pool at all. @p body must be safe
+ * to call concurrently for distinct i when jobs > 1.
  */
 void parallelFor(std::size_t n, std::size_t jobs,
-                 const std::function<void(std::size_t)> &body);
+                 const std::function<void(std::size_t)> &body,
+                 const std::string &name_prefix = "pool");
 
 } // namespace pgss::util
 

@@ -1,13 +1,19 @@
 /**
  * @file
- * Shared fixtures for the test suite: tiny hand-built programs and a
- * small two-phase workload with known structure.
+ * Shared fixtures for the test suite: tiny hand-built programs, a
+ * small two-phase workload with known structure, and per-test
+ * scratch directories.
  */
 
 #ifndef PGSS_TESTS_HELPERS_HH
 #define PGSS_TESTS_HELPERS_HH
 
 #include <cstdint>
+#include <filesystem>
+#include <string>
+
+#include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "isa/program.hh"
 #include "workload/kernels.hh"
@@ -94,6 +100,35 @@ storingWorkload(double ops_per_phase = 50'000.0,
     w.blocks = {{{{"stream", ops_per_phase}, {"chase", ops_per_phase}},
                  rounds}};
     return workload::buildProgram(w, 1.0);
+}
+
+/**
+ * An empty scratch directory owned by the calling test process:
+ * <TempDir>/pgss_<tag>_<pid>_<Suite>.<Test>, wiped and created fresh.
+ * ctest runs every case as its own process, so under `ctest -j` a
+ * fixed path would be shared (and removed) by concurrent cases; the
+ * pid and test name keep every case, and every rerun, apart.
+ */
+inline std::string
+uniqueTempDir(const std::string &tag)
+{
+    std::string test = "no_test";
+    if (const ::testing::TestInfo *info =
+            ::testing::UnitTest::GetInstance()->current_test_info()) {
+        test = std::string(info->test_suite_name()) + "." +
+               info->name();
+    }
+    for (char &c : test)
+        if (c == '/')
+            c = '_'; // parameterised names
+    std::string base = ::testing::TempDir();
+    if (!base.empty() && base.back() != '/')
+        base += '/';
+    const std::string dir = base + "pgss_" + tag + "_" +
+                            std::to_string(::getpid()) + "_" + test;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
 }
 
 } // namespace pgss::test

@@ -141,9 +141,7 @@ TEST(Profile, DeserializeRejectsGarbage)
 
 TEST(ProfileCache, SecondLoadIsCacheHit)
 {
-    const std::string dir =
-        ::testing::TempDir() + "/pgss_profile_cache_test";
-    std::filesystem::remove_all(dir);
+    const std::string dir = test::uniqueTempDir("profile_cache");
 
     auto built = test::twoPhaseWorkload(150'000.0, 2);
     analysis::ProfileCache cache(dir);

@@ -3,10 +3,12 @@
  * Differential tests for the batched fast-forward fast path: runFast()
  * must retire exactly the architectural state and BBV harvests the
  * step() interpreter produces, over every suite workload and across
- * arbitrary chunk boundaries.
+ * arbitrary chunk boundaries. The FunctionalWarm half additionally
+ * pins cache, predictor and RAS state to the step() warm loop.
  */
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "sim/checkpoint.hh"
 #include "sim/engine.hh"
 #include "tests/helpers.hh"
+#include "workload/program_builder.hh"
 #include "workload/suite.hh"
 
 using namespace pgss;
@@ -31,6 +34,83 @@ std::vector<std::uint8_t>
 stateBytes(sim::SimulationEngine &e)
 {
     return e.checkpoint().serialize();
+}
+
+/** Which BBV trackers a warm differential run enables. */
+enum class Bbv
+{
+    Off,
+    Hashed,
+    Full,
+};
+
+/** Every CacheStats and BranchStats counter, flattened. */
+std::vector<std::uint64_t>
+warmStats(sim::SimulationEngine &e)
+{
+    std::vector<std::uint64_t> v;
+    const mem::CacheHierarchy &h = e.hierarchy();
+    for (const mem::Cache *c : {&h.l1i(), &h.l1d(), &h.l2()}) {
+        v.push_back(c->stats().hits);
+        v.push_back(c->stats().misses);
+        v.push_back(c->stats().writebacks);
+    }
+    const timing::BranchStats &b = e.branchUnit().stats();
+    v.insert(v.end(), {b.branches, b.jumps, b.mispredicts, b.taken,
+                       b.ras_mispredicts});
+    return v;
+}
+
+/**
+ * Run a fast and a step() engine side by side in FunctionalWarm over
+ * the awkward chunk sizes; after every chunk compare serialized
+ * checkpoints (arch, memory, caches, predictor, BTB, warming dedup
+ * line), every cache/branch counter and both BBV harvests. Then a
+ * DetailedMeasure window must take the same cycles: the RAS is not
+ * in checkpoints, so this is where a call/return misclassification
+ * would show.
+ */
+void
+expectWarmMatchesStep(const isa::Program &program, Bbv bbv,
+                      const std::string &label,
+                      const sim::EngineConfig &config = {})
+{
+    sim::SimulationEngine fast(program, config);
+    sim::SimulationEngine slow(program, config);
+    slow.setFastPathEnabled(false);
+    for (sim::SimulationEngine *e : {&fast, &slow}) {
+        e->setHashedBbvEnabled(bbv == Bbv::Hashed);
+        e->setFullBbvEnabled(bbv == Bbv::Full);
+    }
+
+    for (const std::uint64_t n : chunks) {
+        const sim::RunResult rf = fast.run(n, SimMode::FunctionalWarm);
+        const sim::RunResult rs = slow.run(n, SimMode::FunctionalWarm);
+        ASSERT_EQ(rf.ops, rs.ops) << label << " chunk " << n;
+        ASSERT_EQ(stateBytes(fast), stateBytes(slow))
+            << label << " after chunk " << n;
+        EXPECT_EQ(warmStats(fast), warmStats(slow))
+            << label << " after chunk " << n;
+        EXPECT_EQ(fast.harvestHashedBbvRaw(), slow.harvestHashedBbvRaw())
+            << label << " after chunk " << n;
+        EXPECT_EQ(fast.harvestFullBbv(), slow.harvestFullBbv())
+            << label << " after chunk " << n;
+    }
+
+    const sim::RunResult mf = fast.run(20'000, SimMode::DetailedMeasure);
+    const sim::RunResult ms = slow.run(20'000, SimMode::DetailedMeasure);
+    EXPECT_EQ(mf.ops, ms.ops) << label;
+    EXPECT_EQ(mf.cycles, ms.cycles) << label;
+    EXPECT_EQ(warmStats(fast), warmStats(slow)) << label;
+}
+
+void
+expectSuiteWarmMatchesStep(Bbv bbv)
+{
+    for (const std::string &name : workload::suiteNames()) {
+        auto built = workload::buildWorkload(name, 0.01);
+        expectWarmMatchesStep(built.program, bbv, name);
+    }
 }
 
 } // namespace
@@ -150,4 +230,90 @@ TEST(CpuFastPath, CoreLevelRunFastMatchesStep)
     for (int r = 0; r < isa::num_regs; ++r)
         EXPECT_EQ(a.reg(r), b.reg(r)) << "reg " << r;
     EXPECT_EQ(mem_a.words(), mem_b.words());
+}
+
+TEST(CpuFastPathWarm, MatchesStepAcrossSuiteWithBbvOff)
+{
+    expectSuiteWarmMatchesStep(Bbv::Off);
+}
+
+TEST(CpuFastPathWarm, MatchesStepAcrossSuiteWithHashedBbv)
+{
+    expectSuiteWarmMatchesStep(Bbv::Hashed);
+}
+
+TEST(CpuFastPathWarm, MatchesStepAcrossSuiteWithFullBbv)
+{
+    expectSuiteWarmMatchesStep(Bbv::Full);
+}
+
+TEST(CpuFastPathWarm, MatchesStepWithLinkRegisterZero)
+{
+    // With r0 as the link register every Jal to r0 is a call and every
+    // Jalr through r0 a return. The fast table remaps rd == r0, so
+    // the warm path must classify from the original instruction. The
+    // suite links through r1, so this loop makes r0-linked calls that
+    // the RAS predicts only when they are classified as calls.
+    using isa::Opcode;
+    workload::ProgramBuilder b("r0-calls");
+    b.setVerifyOnFinalize(false); // r0 linkage is off-convention
+    b.emit(Opcode::Addi, 2, 0, 0, 20'000);               // r2 = count
+    const std::uint32_t loop = b.here();
+    const std::uint32_t call = b.emit(Opcode::Jal, 0, 0, 0, 0);
+    const std::uint32_t after = b.emit(Opcode::Jal, 0, 0, 0, 0);
+    const std::uint32_t callee = b.here();
+    b.emit(Opcode::Addi, 3, 3, 0, 1);
+    b.emit(Opcode::Jalr, 0, 0, 0, after);                // "return"
+    const std::uint32_t tail = b.here();
+    b.emit(Opcode::Addi, 2, 2, 0, -1);
+    const std::uint32_t back = b.emitBranch(Opcode::Bne, 2, 0);
+    b.emit(Opcode::Halt, 0, 0, 0, 0);
+    b.patchTarget(call, callee);
+    b.patchTarget(after, tail);
+    b.patchTarget(back, loop);
+    const isa::Program program = b.finalize(0);
+
+    sim::EngineConfig config;
+    config.branch.link_reg = 0;
+    expectWarmMatchesStep(program, Bbv::Hashed, "r0-calls", config);
+
+    // The calls really were predicted through the RAS.
+    sim::SimulationEngine e(program, config);
+    e.run(1'000'000, SimMode::FunctionalWarm);
+    EXPECT_TRUE(e.halted());
+    EXPECT_LT(e.branchUnit().stats().ras_mispredicts, 100u);
+}
+
+TEST(CpuFastPathWarm, CheckpointRestoreReplaysIdentically)
+{
+    auto built = test::storingWorkload(60'000.0, 3);
+
+    sim::SimulationEngine first(built.program);
+    first.setHashedBbvEnabled(true);
+    first.run(123'457, SimMode::FunctionalWarm);
+    const sim::Checkpoint mid = first.checkpoint();
+    first.harvestHashedBbvRaw(); // a restore starts a fresh period
+    first.run(99'991, SimMode::FunctionalWarm);
+    const std::vector<double> bbv_first = first.harvestHashedBbvRaw();
+    const std::vector<std::uint8_t> bytes_first = stateBytes(first);
+
+    // A fast and a step() engine restored from the same checkpoint
+    // replay the continuous run's state bit for bit, and agree with
+    // each other on the detailed window that follows (both start
+    // with the empty RAS a restore leaves).
+    sim::SimulationEngine fast(built.program);
+    sim::SimulationEngine slow(built.program);
+    slow.setFastPathEnabled(false);
+    for (sim::SimulationEngine *e : {&fast, &slow}) {
+        e->setHashedBbvEnabled(true);
+        e->restore(mid);
+        e->run(99'991, SimMode::FunctionalWarm);
+        EXPECT_EQ(e->harvestHashedBbvRaw(), bbv_first);
+        EXPECT_EQ(stateBytes(*e), bytes_first);
+    }
+    const sim::RunResult mf = fast.run(20'000, SimMode::DetailedMeasure);
+    const sim::RunResult ms = slow.run(20'000, SimMode::DetailedMeasure);
+    EXPECT_EQ(mf.cycles, ms.cycles);
+    EXPECT_EQ(warmStats(fast), warmStats(slow));
+    EXPECT_EQ(stateBytes(fast), stateBytes(slow));
 }

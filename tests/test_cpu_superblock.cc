@@ -63,11 +63,7 @@ deltaBytes(sim::SimulationEngine &e)
 std::string
 freshDir(const std::string &tag)
 {
-    const std::string dir =
-        ::testing::TempDir() + "pgss_trace_cache_" + tag;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
+    return test::uniqueTempDir("trace_cache_" + tag);
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include "cpu/superblock.hh"
 #include "cpu/trace_cache.hh"
 #include "workload/suite.hh"
+#include "tests/helpers.hh"
 
 using namespace pgss;
 
@@ -30,11 +31,7 @@ namespace
 std::string
 freshDir(const std::string &tag)
 {
-    const std::string dir =
-        ::testing::TempDir() + "pgss_trace_corr_" + tag;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
+    return test::uniqueTempDir("trace_corr_" + tag);
 }
 
 /** Byte offsets of the artifact's four CRC-sealed sections. */

@@ -17,6 +17,7 @@
 #include "obs/perf.hh"
 #include "obs/report.hh"
 #include "obs/trace.hh"
+#include "tests/helpers.hh"
 
 using namespace pgss::obs;
 
@@ -64,7 +65,7 @@ TEST(ObsPerf, RegistryHandleIsCreateOrGetWithStablePointer)
 TEST(ObsReport, InitFromCliStripsObservabilityFlags)
 {
     const std::string report =
-        testing::TempDir() + "pgss_report_strip.json";
+        pgss::test::uniqueTempDir("report") + "/strip.json";
     char prog[] = "prog";
     char a1[] = "--stats-json=/dev/null";
     char a2[] = "164.gzip";
@@ -126,7 +127,7 @@ TEST(ObsReport, MetaLastWritePerKeyWins)
 TEST(ObsReport, FinalizeWritesTheReportFile)
 {
     const std::string path =
-        testing::TempDir() + "pgss_report_out.json";
+        pgss::test::uniqueTempDir("report") + "/out.json";
     char prog[] = "prog";
     std::string flag = "--stats-json=" + path;
     std::vector<char> flag_buf(flag.begin(), flag.end());
@@ -147,7 +148,7 @@ TEST(ObsReport, FinalizeWritesTheReportFile)
 TEST(ObsReport, EnvFallbackSuppliesPaths)
 {
     const std::string path =
-        testing::TempDir() + "pgss_report_env.json";
+        pgss::test::uniqueTempDir("report") + "/env.json";
     ASSERT_EQ(setenv("PGSS_STATS_JSON", path.c_str(), 1), 0);
     char prog[] = "prog";
     char *argv[] = {prog, nullptr};

@@ -8,11 +8,13 @@
  * is valid and the port is immediately rebindable.
  */
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -256,10 +258,22 @@ TEST(TelemetryShutdown, SigtermFlushesPartialReportAndFreesPort)
         << err;
     EXPECT_EQ(resp.status, 200);
 
-    // Kill it mid-flight.
+    // Kill it mid-flight. A flush that deadlocks must fail the test,
+    // not hang the suite: the wait has a deadline.
     ASSERT_EQ(::kill(pid, SIGTERM), 0);
     int wstatus = 0;
-    ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+    pid_t waited = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while ((waited = ::waitpid(pid, &wstatus, WNOHANG)) == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    if (waited == 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, &wstatus, 0);
+        FAIL() << "child still running 60 s after SIGTERM";
+    }
+    ASSERT_EQ(waited, pid);
     // The handler re-raises with default disposition after flushing.
     ASSERT_TRUE(WIFSIGNALED(wstatus));
     EXPECT_EQ(WTERMSIG(wstatus), SIGTERM);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/trace.hh"
+#include "tests/helpers.hh"
 
 using namespace pgss::obs;
 
@@ -32,7 +33,7 @@ readLines(const std::string &path)
 std::string
 tempPath(const char *tag)
 {
-    return testing::TempDir() + "pgss_trace_" + tag + ".jsonl";
+    return pgss::test::uniqueTempDir("trace") + "/" + tag + ".jsonl";
 }
 
 } // namespace

@@ -44,7 +44,7 @@ struct CorruptionFixture : ::testing::Test
     sim::CheckpointLibrary library;
 
     CorruptionFixture()
-        : dir(::testing::TempDir() + "/pgss_ckpt_corruption"),
+        : dir(test::uniqueTempDir("ckpt_corruption")),
           built(test::storingWorkload(60'000.0, 3)), library(dir)
     {
     }
@@ -299,9 +299,7 @@ TEST_F(CorruptionFixture, RecordUnderWriteFaultsDegrades)
     // pass (ENOSPC-like): the pass stops at a consistent prefix, and
     // seeks past the prefix degrade to functional warming from the
     // last good checkpoint — same answer, higher cost, no crash.
-    const std::string dir2 =
-        ::testing::TempDir() + "/pgss_ckpt_record_fault";
-    fs::remove_all(dir2);
+    const std::string dir2 = test::uniqueTempDir("ckpt_record_fault");
     ASSERT_TRUE(
         util::fi::configure("site=ckpt.write,mode=fail-nth:3"));
     sim::CheckpointLibrary partial(dir2);

@@ -20,7 +20,7 @@ struct LibFixture
     sim::CheckpointLibrary library;
 
     LibFixture()
-        : dir(::testing::TempDir() + "/pgss_ckpt_lib_test"),
+        : dir(test::uniqueTempDir("ckpt_lib")),
           built(test::twoPhaseWorkload(150'000.0, 3)), library(dir)
     {
         std::filesystem::remove_all(dir);
@@ -177,10 +177,9 @@ TEST(CheckpointLibrary, SeekThroughDeltaChainMatchesFullImages)
     // writes memory, so the deltas carry real pages.
     auto built = test::storingWorkload(150'000.0, 3);
 
-    const std::string dir_d = ::testing::TempDir() + "/pgss_lib_delta";
-    const std::string dir_f = ::testing::TempDir() + "/pgss_lib_full";
-    std::filesystem::remove_all(dir_d);
-    std::filesystem::remove_all(dir_f);
+    const std::string root = test::uniqueTempDir("lib_delta_full");
+    const std::string dir_d = root + "/delta";
+    const std::string dir_f = root + "/full";
 
     sim::CheckpointLibrary deltas(dir_d);
     deltas.setFullInterval(4);

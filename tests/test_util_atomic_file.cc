@@ -10,6 +10,7 @@
 
 #include "util/atomic_file.hh"
 #include "util/fi.hh"
+#include "tests/helpers.hh"
 
 using namespace pgss;
 namespace fs = std::filesystem;
@@ -24,9 +25,7 @@ struct AtomicFileTest : ::testing::Test
     void SetUp() override
     {
         util::fi::reset();
-        dir = ::testing::TempDir() + "/pgss_atomic_file_test";
-        fs::remove_all(dir);
-        fs::create_directories(dir);
+        dir = test::uniqueTempDir("atomic_file");
     }
     void TearDown() override
     {

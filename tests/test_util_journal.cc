@@ -10,6 +10,7 @@
 
 #include "util/fi.hh"
 #include "util/journal.hh"
+#include "tests/helpers.hh"
 
 using namespace pgss;
 namespace fs = std::filesystem;
@@ -24,9 +25,7 @@ struct JournalTest : ::testing::Test
     void SetUp() override
     {
         util::fi::reset();
-        dir = ::testing::TempDir() + "/pgss_journal_test";
-        fs::remove_all(dir);
-        fs::create_directories(dir);
+        dir = test::uniqueTempDir("journal");
     }
     void TearDown() override
     {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "util/serialize.hh"
+#include "tests/helpers.hh"
 
 using pgss::util::BinaryReader;
 using pgss::util::BinaryWriter;
@@ -102,7 +103,8 @@ TEST(Serialize, SpecialDoublesRoundTrip)
 
 TEST(Serialize, FileRoundTrip)
 {
-    const std::string path = ::testing::TempDir() + "/pgss_ser_test.bin";
+    const std::string dir = pgss::test::uniqueTempDir("ser");
+    const std::string path = dir + "/ser_test.bin";
     BinaryWriter w(magic, version);
     w.putString("file payload");
     w.putU64Vec({4, 5, 6});
@@ -112,7 +114,7 @@ TEST(Serialize, FileRoundTrip)
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.getString(), "file payload");
     EXPECT_EQ(r.getU64Vec(), (std::vector<std::uint64_t>{4, 5, 6}));
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Serialize, MissingFileReportsNotOk)

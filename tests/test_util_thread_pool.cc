@@ -1,9 +1,13 @@
 /** @file Tests for the worker pool behind the parallel bench harness. */
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -48,6 +52,69 @@ TEST(ThreadPool, DestructorDrainsQueue)
         // no wait(): the destructor must finish the queue first
     }
     EXPECT_EQ(count.load(), 50);
+}
+
+namespace
+{
+
+/**
+ * Names of the threads that ran @p workers tasks submitted through
+ * @p submit, each task held until all have started so every worker
+ * takes exactly one.
+ */
+template <typename Submit>
+std::set<std::string>
+workerNames(std::size_t workers, Submit submit)
+{
+    std::atomic<std::size_t> started{0};
+    std::mutex mtx;
+    std::set<std::string> names;
+    submit([&](std::size_t) {
+        started.fetch_add(1);
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (started.load() < workers &&
+               std::chrono::steady_clock::now() < give_up)
+            std::this_thread::yield();
+        std::lock_guard<std::mutex> lock(mtx);
+        names.insert(util::currentThreadName());
+    });
+    return names;
+}
+
+} // namespace
+
+TEST(ThreadPool, WorkersCarryTheirPoolsPrefix)
+{
+    const auto via_pool = [](const char *prefix) {
+        return workerNames(2, [prefix](auto task) {
+            util::ThreadPool pool(2, prefix);
+            pool.submit([task] { task(0); });
+            pool.submit([task] { task(1); });
+            pool.wait();
+        });
+    };
+    EXPECT_EQ(via_pool("load"),
+              (std::set<std::string>{"load-0", "load-1"}));
+    EXPECT_EQ(via_pool("entry"),
+              (std::set<std::string>{"entry-0", "entry-1"}));
+
+    // The default keeps the historical name.
+    const auto plain = workerNames(1, [](auto task) {
+        util::ThreadPool pool(1);
+        pool.submit([task] { task(0); });
+        pool.wait();
+    });
+    EXPECT_EQ(plain, (std::set<std::string>{"pool-0"}));
+}
+
+TEST(ParallelFor, WorkersCarryTheGivenPrefix)
+{
+    const auto names = workerNames(3, [](auto task) {
+        util::parallelFor(3, 3, task, "load");
+    });
+    EXPECT_EQ(names,
+              (std::set<std::string>{"load-0", "load-1", "load-2"}));
 }
 
 TEST(ThreadPool, ZeroWorkersClampsToOne)
