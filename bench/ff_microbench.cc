@@ -1,16 +1,14 @@
 /**
  * @file
  * Fast-forward dispatch microbenchmark: the cost of *how* an
- * instruction is dispatched, isolated from what it computes. Three
+ * instruction is dispatched, isolated from what it computes. Two
  * variants run the same workload (164.gzip) through FunctionalFast
  * with BBV tracking off:
  *
  *  - interp-step: the unbatched step() interpreter (the differential
  *    oracle; decode on every instruction).
- *  - interp-fastop: the pre-decoded FastOp batch loop (the default
+ *  - interp-fastop: the pre-decoded FastOp batch loop (the
  *    fast-forward path).
- *  - superblock: threaded-code superblock traces with computed-goto
- *    dispatch (PGSS_BACKEND=superblock).
  *
  * Two more run FunctionalWarm, the mode PGSS and SMARTS fast-forward
  * in, with hashed BBV on (PGSS's configuration): the step() warm loop
@@ -41,11 +39,10 @@ using namespace pgss;
 namespace
 {
 
-/** One dispatch variant: a backend, the fast-path switch, a mode. */
+/** One dispatch variant: the fast-path switch and a mode. */
 struct Variant
 {
     const char *name;
-    sim::ExecBackend backend;
     bool fast_path;
     sim::SimMode mode = sim::SimMode::FunctionalFast;
     bool hashed_bbv = false;
@@ -56,8 +53,7 @@ double
 measure(const workload::BuiltWorkload &built, const Variant &v,
         std::uint64_t total_ops)
 {
-    sim::EngineConfig config = bench::benchConfig();
-    config.backend = v.backend;
+    const sim::EngineConfig config = bench::benchConfig();
 
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
@@ -69,8 +65,8 @@ measure(const workload::BuiltWorkload &built, const Variant &v,
             return e;
         };
         auto engine = make();
-        // Warm-up: trace formation / decode-table build happens here,
-        // so the timed region sees steady-state dispatch only.
+        // Warm-up: the decode-table build happens here, so the timed
+        // region sees steady-state dispatch only.
         engine->run(200'000, v.mode);
 
         const auto t0 = std::chrono::steady_clock::now();
@@ -107,19 +103,16 @@ main(int argc, char **argv)
         workload::buildWorkload("164.gzip", 0.05);
 
     // Enough ops that dispatch dominates timer noise, small enough
-    // for a CI smoke step (5 variants x 3 reps x 4M ops).
+    // for a CI smoke step (4 variants x 3 reps x 4M ops).
     const std::uint64_t total_ops = 4'000'000;
 
     const std::vector<Variant> fast = {
-        {"interp-step", sim::ExecBackend::Interp, false},
-        {"interp-fastop", sim::ExecBackend::Interp, true},
-        {"superblock", sim::ExecBackend::Superblock, true},
+        {"interp-step", false},
+        {"interp-fastop", true},
     };
     const std::vector<Variant> warm = {
-        {"warm-step", sim::ExecBackend::Interp, false,
-         sim::SimMode::FunctionalWarm, true},
-        {"warm-fastop", sim::ExecBackend::Interp, true,
-         sim::SimMode::FunctionalWarm, true},
+        {"warm-step", false, sim::SimMode::FunctionalWarm, true},
+        {"warm-fastop", true, sim::SimMode::FunctionalWarm, true},
     };
 
     const auto table = [&](const char *title,
@@ -142,11 +135,9 @@ main(int argc, char **argv)
           warm);
 
     std::printf("\nexpected shape: fastop removes per-instruction "
-                "decode; superblock removes\nthe dispatch loop "
-                "itself (threaded code + in-trace branch "
-                "unrolling).\nIn warm mode fastop also drops the "
-                "DynInst record; cache and predictor\nwarming, the "
-                "same in both rows, bound the gain.\n");
+                "decode and the DynInst\nrecord. In warm mode cache "
+                "and predictor warming, the same in both rows,\n"
+                "bound the gain.\n");
     bench::finish();
     return 0;
 }

@@ -310,8 +310,12 @@ parseObsFlags(int &argc, char **argv)
     flags.timelines =
         util::envString("PGSS_TIMELINES", "") == "1";
     flags.profile = util::envString("PGSS_PROFILE", "") == "1";
-    flags.timeline_interval = static_cast<std::uint64_t>(
-        util::envDouble("PGSS_TIMELINE_INTERVAL", 0.0));
+    // Out-of-range strides (negative, or past 2^64) mean "unset":
+    // converting them to an integer would be undefined.
+    const double interval =
+        util::envDouble("PGSS_TIMELINE_INTERVAL", 0.0);
+    if (interval > 0.0 && interval < 0x1p64)
+        flags.timeline_interval = static_cast<std::uint64_t>(interval);
     const std::string serve_env =
         util::envString("PGSS_SERVE_PORT", "");
     if (!serve_env.empty()) {
@@ -425,9 +429,6 @@ registerRobustnessStats()
         "ckpt.record_aborted",    "cache.quarantined",
         "cache.store_failed",     "report.write_failed",
         "journal.torn_lines",     "net.retries",
-        "trace_cache.quarantined", "trace_cache.store_failed",
-        "trace_cache.hits",        "trace_cache.misses",
-        "trace_cache.verify_rejected",
     };
     for (const char *name : robust_names)
         util::fi::counter(name);

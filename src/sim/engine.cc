@@ -3,7 +3,6 @@
 #include <bit>
 #include <string>
 
-#include "cpu/trace_cache.hh"
 #include "obs/perf.hh"
 #include "obs/progress.hh"
 #include "obs/spans.hh"
@@ -11,7 +10,6 @@
 #include "obs/timeline.hh"
 #include "obs/trace.hh"
 #include "sim/checkpoint.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace pgss::sim
@@ -69,43 +67,7 @@ modeSpanName(SimMode mode)
     return "engine.unknown";
 }
 
-/**
- * Backend named by PGSS_BACKEND, resolved (and any complaint voiced)
- * once per process: benches construct hundreds of engines.
- */
-ExecBackend
-envBackend()
-{
-    static const ExecBackend resolved = [] {
-        const std::string v = util::envString("PGSS_BACKEND", "interp");
-        if (v == "superblock")
-            return ExecBackend::Superblock;
-        if (v != "interp")
-            util::warn("unknown PGSS_BACKEND '%s' "
-                       "(expected interp|superblock); using interp",
-                       v.c_str());
-        return ExecBackend::Interp;
-    }();
-    return resolved;
-}
-
 } // anonymous namespace
-
-const char *
-backendName(ExecBackend backend)
-{
-    switch (backend) {
-      case ExecBackend::Default:
-        return "default";
-      case ExecBackend::Interp:
-        return "interp";
-      case ExecBackend::Superblock:
-        return "superblock";
-    }
-    return "unknown";
-}
-
-SimulationEngine::~SimulationEngine() = default;
 
 SimulationEngine::SimulationEngine(const isa::Program &program,
                                    const EngineConfig &config)
@@ -124,24 +86,12 @@ SimulationEngine::SimulationEngine(const isa::Program &program,
     pipeline_ = std::make_unique<timing::InOrderPipeline>(
         config.pipeline, *hierarchy_, *branch_unit_);
 
-    use_superblock_ =
-        (config.backend == ExecBackend::Default
-             ? envBackend()
-             : config.backend) == ExecBackend::Superblock;
-
     // Per-mode host timers are process-global so every engine (and
     // there are many per bench) accumulates into the same trajectory.
-    // The fast-forward mode reports under a per-backend key
-    // (functional_fast vs functional_fast_superblock) so the bench
-    // history tracks the two backends as separate trajectories.
-    for (int m = 0; m < 4; ++m) {
-        std::string name = std::string("mode.") +
-                           modeStatName(static_cast<SimMode>(m));
-        if (static_cast<SimMode>(m) == SimMode::FunctionalFast &&
-            use_superblock_)
-            name += "_superblock";
-        mode_perf_[m] = obs::perf().handle(name);
-    }
+    for (int m = 0; m < 4; ++m)
+        mode_perf_[m] = obs::perf().handle(
+            std::string("mode.") +
+            modeStatName(static_cast<SimMode>(m)));
 }
 
 void
@@ -155,10 +105,6 @@ SimulationEngine::reset()
         memory_->setWords(std::move(image));
     }
     core_ = std::make_unique<cpu::FunctionalCore>(program_, *memory_);
-    // The runner borrows the core it was built against; drop it so
-    // the next superblock chunk rebinds to the fresh one (the formed
-    // set itself is shared and survives in the trace cache).
-    superblock_.reset();
     hierarchy_ =
         std::make_unique<mem::CacheHierarchy>(config_.hierarchy);
     branch_unit_ =
@@ -190,12 +136,12 @@ template <bool with_bbv, typename Run>
 std::uint64_t
 SimulationEngine::withBbvCallback(Run &&run)
 {
-    // One callback shape per BBV configuration, shared by every fast
-    // loop (FastOp with and without warm hooks, superblock). With BBV
-    // off the carried ops_since_taken_ is left untouched, exactly as
-    // the step() loop leaves it. In the dominant configuration —
-    // hashed BBV only — the callback is a single inlined LUT-hash
-    // accumulate, with no virtual dispatch anywhere on the path.
+    // One callback shape per BBV configuration, shared by the FastOp
+    // loop with and without warm hooks. With BBV off the carried
+    // ops_since_taken_ is left untouched, exactly as the step() loop
+    // leaves it. In the dominant configuration — hashed BBV only —
+    // the callback is a single inlined LUT-hash accumulate, with no
+    // virtual dispatch anywhere on the path.
     if constexpr (with_bbv) {
         if (hashed_bbv_enabled_ && !full_bbv_enabled_) {
             bbv::HashedBbv &hashed = hashed_bbv_;
@@ -219,21 +165,6 @@ SimulationEngine::withBbvCallback(Run &&run)
         std::uint64_t since = 0;
         return run(since, [](std::uint64_t, std::uint64_t) {});
     }
-}
-
-template <bool with_bbv>
-std::uint64_t
-SimulationEngine::runSuperblock(std::uint64_t n)
-{
-    if (!superblock_) {
-        superblock_ = std::make_unique<cpu::SuperblockRunner>(
-            *core_, cpu::traceCache().loadOrForm(
-                        program_, config_.superblock));
-    }
-    return withBbvCallback<with_bbv>(
-        [this, n](std::uint64_t &since, auto &&on_taken) {
-            return superblock_->run(n, since, on_taken);
-        });
 }
 
 namespace
@@ -311,8 +242,6 @@ SimulationEngine::runFunctional(std::uint64_t n, bool warm)
                 return core_->runFastWith(n, since, on_taken, hooks);
             });
     }
-    if (use_superblock_)
-        return runSuperblock<with_bbv>(n);
     // Fast-forward fast path: batched pre-decoded dispatch, no
     // DynInst population. ops_since_taken_ carries across chunks (by
     // reference) so harvests match the step() path bit for bit.

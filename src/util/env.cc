@@ -1,6 +1,7 @@
 #include "util/env.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <thread>
 
@@ -21,8 +22,10 @@ envDouble(const char *name, double def)
     if (!v || !*v)
         return def;
     char *end = nullptr;
-    double parsed = std::strtod(v, &end);
-    if (end == v || *end != '\0')
+    const double parsed = std::strtod(v, &end);
+    // nan/inf parse, but no knob means them: NaN slips through
+    // std::clamp, and casting either to an integer is undefined.
+    if (end == v || *end != '\0' || !std::isfinite(parsed))
         return def;
     return parsed;
 }

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu/functional_core.hh"
+#include "progcheck/cfg.hh"
 #include "sim/checkpoint.hh"
 #include "sim/engine.hh"
 #include "tests/helpers.hh"
@@ -287,33 +288,51 @@ TEST(CpuFastPathWarm, MatchesStepWithLinkRegisterZero)
 TEST(CpuFastPathWarm, CheckpointRestoreReplaysIdentically)
 {
     auto built = test::storingWorkload(60'000.0, 3);
+    const progcheck::Cfg cfg = progcheck::buildCfg(built.program);
+    const auto leader = [&cfg](std::uint64_t pc) {
+        return cfg.blocks[cfg.block_of[pc]].first == pc;
+    };
 
-    sim::SimulationEngine first(built.program);
-    first.setHashedBbvEnabled(true);
-    first.run(123'457, SimMode::FunctionalWarm);
-    const sim::Checkpoint mid = first.checkpoint();
-    first.harvestHashedBbvRaw(); // a restore starts a fresh period
-    first.run(99'991, SimMode::FunctionalWarm);
-    const std::vector<double> bbv_first = first.harvestHashedBbvRaw();
-    const std::vector<std::uint8_t> bytes_first = stateBytes(first);
+    // Both fast-forward modes run the FastOp loop (with and without
+    // warm hooks); each must resume from a restore exactly like step().
+    for (const SimMode mode :
+         {SimMode::FunctionalWarm, SimMode::FunctionalFast}) {
+        SCOPED_TRACE(sim::modeName(mode));
+        sim::SimulationEngine first(built.program);
+        first.setHashedBbvEnabled(true);
+        first.run(123'457, mode);
+        // Step on to the first pc inside a basic block (not a
+        // leader), so the restored runs start mid-block with a
+        // nonzero ops-since-taken carry.
+        for (int i = 0; i < 64 && leader(first.core().pc()); ++i)
+            first.run(1, mode);
+        const sim::Checkpoint mid = first.checkpoint();
+        first.harvestHashedBbvRaw(); // a restore starts a fresh period
+        first.run(99'991, mode);
+        const std::vector<double> bbv_first = first.harvestHashedBbvRaw();
+        const std::vector<std::uint8_t> bytes_first = stateBytes(first);
 
-    // A fast and a step() engine restored from the same checkpoint
-    // replay the continuous run's state bit for bit, and agree with
-    // each other on the detailed window that follows (both start
-    // with the empty RAS a restore leaves).
-    sim::SimulationEngine fast(built.program);
-    sim::SimulationEngine slow(built.program);
-    slow.setFastPathEnabled(false);
-    for (sim::SimulationEngine *e : {&fast, &slow}) {
-        e->setHashedBbvEnabled(true);
-        e->restore(mid);
-        e->run(99'991, SimMode::FunctionalWarm);
-        EXPECT_EQ(e->harvestHashedBbvRaw(), bbv_first);
-        EXPECT_EQ(stateBytes(*e), bytes_first);
+        // A fast and a step() engine restored from the same
+        // checkpoint replay the continuous run's state bit for bit,
+        // and agree with each other on the detailed window that
+        // follows (both start with the empty RAS a restore leaves).
+        sim::SimulationEngine fast(built.program);
+        sim::SimulationEngine slow(built.program);
+        slow.setFastPathEnabled(false);
+        for (sim::SimulationEngine *e : {&fast, &slow}) {
+            e->setHashedBbvEnabled(true);
+            e->restore(mid);
+            ASSERT_FALSE(leader(e->core().pc()));
+            e->run(99'991, mode);
+            EXPECT_EQ(e->harvestHashedBbvRaw(), bbv_first);
+            EXPECT_EQ(stateBytes(*e), bytes_first);
+        }
+        const sim::RunResult mf =
+            fast.run(20'000, SimMode::DetailedMeasure);
+        const sim::RunResult ms =
+            slow.run(20'000, SimMode::DetailedMeasure);
+        EXPECT_EQ(mf.cycles, ms.cycles);
+        EXPECT_EQ(warmStats(fast), warmStats(slow));
+        EXPECT_EQ(stateBytes(fast), stateBytes(slow));
     }
-    const sim::RunResult mf = fast.run(20'000, SimMode::DetailedMeasure);
-    const sim::RunResult ms = slow.run(20'000, SimMode::DetailedMeasure);
-    EXPECT_EQ(mf.cycles, ms.cycles);
-    EXPECT_EQ(warmStats(fast), warmStats(slow));
-    EXPECT_EQ(stateBytes(fast), stateBytes(slow));
 }

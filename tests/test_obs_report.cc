@@ -164,3 +164,22 @@ TEST(ObsReport, EnvFallbackSuppliesPaths)
     initFromCli(argc2, argv2, "test_report_env");
     EXPECT_EQ(statsJsonPath(), "/dev/null");
 }
+
+TEST(ObsReport, TimelineIntervalEnvRejectsOutOfRange)
+{
+    const auto parsed = [](const char *value) {
+        EXPECT_EQ(setenv("PGSS_TIMELINE_INTERVAL", value, 1), 0);
+        char prog[] = "prog";
+        char *argv[] = {prog, nullptr};
+        int argc = 1;
+        const ObsFlags flags = parseObsFlags(argc, argv);
+        EXPECT_EQ(unsetenv("PGSS_TIMELINE_INTERVAL"), 0);
+        return flags.timeline_interval;
+    };
+    EXPECT_EQ(parsed("5000"), 5000u);
+    // Negative and unrepresentable strides fall back to the default
+    // (0) instead of an undefined double -> uint64_t conversion.
+    EXPECT_EQ(parsed("-1"), 0u);
+    EXPECT_EQ(parsed("1e30"), 0u);
+    EXPECT_EQ(parsed("nan"), 0u);
+}

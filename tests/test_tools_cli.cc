@@ -172,4 +172,53 @@ TEST(ReportCli, MetricsOnMissingFileFails)
     EXPECT_EQ(res.exit_code, 1);
 }
 
+TEST(ReportCli, FindingsRendersLintEnvelope)
+{
+    // The envelope pgss_lint --json writes must round-trip through
+    // the offline renderer; a clean lint renders with exit 0.
+    const std::string json = "/tmp/pgss_test_lint_" +
+                             std::to_string(::getpid()) + ".json";
+    // Subshell: run() redirects the command's own stdout.
+    RunResult res = run("(" + toolPath("pgss_lint") +
+                        " 164.gzip 181.mcf --scale 0.02 --json > " +
+                        json + ")");
+    ASSERT_EQ(res.exit_code, 0) << res.output;
+    res = run(toolPath("pgss_report") + " findings " + json);
+    EXPECT_EQ(res.exit_code, 0) << res.output;
+    EXPECT_NE(res.output.find("pgss_lint findings (schema v2)"),
+              std::string::npos)
+        << res.output;
+    EXPECT_NE(res.output.find("164.gzip: "), std::string::npos)
+        << res.output;
+    EXPECT_NE(res.output.find("181.mcf: "), std::string::npos)
+        << res.output;
+    EXPECT_NE(res.output.find("0 error(s), "), std::string::npos)
+        << res.output;
+    std::remove(json.c_str());
+}
+
+TEST(ReportCli, FindingsExitsOneOnErrorFindings)
+{
+    const std::string json = "/tmp/pgss_test_findings_" +
+                             std::to_string(::getpid()) + ".json";
+    std::ofstream(json)
+        << "{\"schema\":\"pgss-findings\",\"version\":2,"
+           "\"tool\":\"pgss_lint\",\"programs\":[{\"program\":\"p\","
+           "\"code_size\":4,\"errors\":1,\"warnings\":0,"
+           "\"findings\":[{\"code\":\"structure.bad-target\","
+           "\"severity\":\"error\",\"pc\":3,"
+           "\"message\":\"target 9 out of range\"}]}]}";
+    const RunResult res =
+        run(toolPath("pgss_report") + " findings " + json);
+    EXPECT_EQ(res.exit_code, 1) << res.output;
+    EXPECT_NE(res.output.find("error structure.bad-target @3: target 9 "
+                              "out of range"),
+              std::string::npos)
+        << res.output;
+    EXPECT_NE(res.output.find("1 error(s), 0 warning(s) total"),
+              std::string::npos)
+        << res.output;
+    std::remove(json.c_str());
+}
+
 } // namespace

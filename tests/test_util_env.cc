@@ -73,6 +73,11 @@ TEST(Env, DoubleMalformedFallsBack)
     EXPECT_DOUBLE_EQ(envDouble("PGSS_TEST_VAR", 1.0), 1.0);
     ScopedEnv guard2("PGSS_TEST_VAR", "not-a-number");
     EXPECT_DOUBLE_EQ(envDouble("PGSS_TEST_VAR", 3.0), 3.0);
+    // strtod parses these, but no knob means them.
+    for (const char *v : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+        ScopedEnv guard3("PGSS_TEST_VAR", v);
+        EXPECT_DOUBLE_EQ(envDouble("PGSS_TEST_VAR", 1.5), 1.5) << v;
+    }
 }
 
 TEST(Env, WorkloadScaleDefaultsToOne)
@@ -94,6 +99,33 @@ TEST(Env, WorkloadScaleClamped)
     {
         ScopedEnv guard("PGSS_SCALE", "0.5");
         EXPECT_DOUBLE_EQ(workloadScale(), 0.5);
+    }
+    // NaN would pass through std::clamp; non-finite means the default.
+    for (const char *v : {"nan", "inf", "-inf"}) {
+        ScopedEnv guard("PGSS_SCALE", v);
+        EXPECT_DOUBLE_EQ(workloadScale(), 1.0) << v;
+    }
+}
+
+TEST(Env, JobCountClamped)
+{
+    // Only the returned count is checked; no pool is built from it.
+    // Non-finite values are the default (1), not a NaN -> size_t cast.
+    for (const char *v : {"nan", "inf", "-inf"}) {
+        ScopedEnv guard("PGSS_JOBS", v);
+        EXPECT_EQ(jobCount(), 1u) << v;
+    }
+    {
+        ScopedEnv guard("PGSS_JOBS", "-3");
+        EXPECT_EQ(jobCount(), 1u);
+    }
+    {
+        ScopedEnv guard("PGSS_JOBS", "1e9");
+        EXPECT_EQ(jobCount(), 256u);
+    }
+    {
+        ScopedEnv guard("PGSS_JOBS", "4");
+        EXPECT_EQ(jobCount(), 4u);
     }
 }
 
