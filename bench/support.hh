@@ -33,11 +33,12 @@ struct Entry
 
 /**
  * Observability plumbing shared by every bench: parse and strip the
- * obs flags (--stats-json= / --trace-out= / --timelines /
- * --timeline-interval= / --timeline-out=, see obs::parseObsFlags),
- * install the trace sink and timeline recorder, register the
- * abnormal-exit flush handlers, and stamp the report with the figure
- * id and workload scale. Call first thing in main().
+ * obs flags (--stats-json= / --timelines / --timeline-interval= /
+ * --timeline-out= / --profile / --profile-out= / --serve=, see
+ * obs::parseObsFlags), install the timeline recorder and span
+ * profiler they request, register the abnormal-exit flush handlers,
+ * and stamp the report with the figure id and workload scale. Call
+ * first thing in main().
  */
 void init(int &argc, char **argv, const std::string &figure_id);
 

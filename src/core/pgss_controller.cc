@@ -8,7 +8,6 @@
 #include "obs/spans.hh"
 #include "obs/stats.hh"
 #include "obs/timeline.hh"
-#include "obs/trace.hh"
 #include "stats/confidence.hh"
 #include "stats/stratified.hh"
 #include "util/logging.hh"
@@ -95,9 +94,6 @@ PgssController::run(sim::SimulationEngine &engine)
                 chunk_ops +=
                     engine.run(offset, sim::SimMode::FunctionalWarm)
                         .ops;
-            if (obs::TraceSink *t = obs::traceSink())
-                t->emit(obs::TraceKind::SampleOpen,
-                        engine.totalOps());
             const sim::RunResult warm = engine.run(
                 config_.detailed_warmup, sim::SimMode::DetailedWarm);
             const sim::RunResult meas = engine.run(
@@ -135,12 +131,6 @@ PgssController::run(sim::SimulationEngine &engine)
             ++counters_.phases;
         if (match.changed)
             ++counters_.phase_changes;
-        if (obs::TraceSink *t = obs::traceSink())
-            t->emit(obs::TraceKind::PhaseClassified,
-                    engine.totalOps(), match.phase_id,
-                    (match.created ? 1u : 0u) |
-                        (match.changed ? 2u : 0u),
-                    match.angle_to_last);
         if (obs::TimelineRecorder *tl = obs::timelines())
             tl->recordPhase(engine.totalOps(), match.phase_id);
         if (obs::JobHandle *job = obs::currentJob())
@@ -152,10 +142,6 @@ PgssController::run(sim::SimulationEngine &engine)
             phase.addSample(sample_cpi, engine.totalOps());
             ++res.n_samples;
             ++counters_.samples;
-            if (obs::TraceSink *t = obs::traceSink())
-                t->emit(obs::TraceKind::SampleClose,
-                        engine.totalOps(), phase.id(), 0,
-                        sample_cpi);
             if (config_.record_timeline)
                 res.timeline.push_back(
                     {engine.totalOps(), phase.id(), sample_cpi});
@@ -193,10 +179,6 @@ PgssController::run(sim::SimulationEngine &engine)
         if (adaptive.threshold() != threshold_before) {
             ++counters_.threshold_adjustments;
             counters_.threshold = adaptive.threshold();
-            if (obs::TraceSink *t = obs::traceSink())
-                t->emit(obs::TraceKind::ThresholdAdjust,
-                        engine.totalOps(), 0, 0,
-                        adaptive.threshold());
         }
     }
 

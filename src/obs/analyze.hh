@@ -1,8 +1,8 @@
 /**
  * @file
  * Offline analysis of observability artefacts — the library behind
- * `tools/pgss_report`. Consumes pgss-run-report JSON documents (and
- * optionally a trace JSONL stream) and provides:
+ * `tools/pgss_report`. Consumes pgss-run-report JSON documents and
+ * provides:
  *
  *  - loadReport(): parse + flatten every numeric leaf ("perf.*",
  *    "stats.*", "profile.*", numeric "meta.*") to its dotted path
@@ -13,10 +13,9 @@
  *    per-span self-time deltas
  *  - renderDiff()/diffReports(): A-vs-B comparison with percent
  *    deltas for every shared numeric path
- *  - checkReport()/checkTrace(): sanity checks — schema fields,
- *    monotonic axes, balanced sample open/close, trace eof
- *    accounting (lines == emitted - dropped) — the `pgss_report
- *    check` CI gate
+ *  - checkReport(): sanity checks — schema fields, finite values,
+ *    per-mode counter consistency, monotonic timeline axes — the
+ *    `pgss_report check` CI gate
  *  - benchSnapshotFromReport()/checkAgainstBaseline(): the perf
  *    history — distil a run report into a pgss-bench-snapshot
  *    document (BENCH_pr<N>.json) and gate a fresh report's
@@ -124,7 +123,6 @@ struct CheckResult
 {
     std::vector<std::string> violations; ///< hard failures (CI gate)
     std::vector<std::string> warnings;   ///< suspicious but tolerated
-    std::uint64_t trace_events = 0;      ///< event lines seen (trace)
 
     bool ok() const { return violations.empty(); }
     void merge(const CheckResult &other);
@@ -136,16 +134,6 @@ struct CheckResult
  * timeline arrays. A partial report is a warning, not a violation.
  */
 CheckResult checkReport(const LoadedReport &report);
-
-/**
- * Trace-stream sanity: every line parses, timestamps are monotonic,
- * sample_open/sample_close alternate (an open may be implicitly
- * closed by an engine restart, detected by the op counter moving
- * backwards), and the eof line's accounting matches the number of
- * event lines (lines == emitted - dropped). A missing eof line — an
- * interrupted run — is a warning.
- */
-CheckResult checkTrace(std::istream &in);
 
 /**
  * Distil @p report into a pgss-bench-snapshot JSON document: schema

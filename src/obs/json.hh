@@ -1,10 +1,11 @@
 /**
  * @file
  * Minimal streaming JSON writer for the observability layer: stats
- * dumps, run reports, and trace events. Emits compact, valid JSON with
- * proper string escaping; non-finite doubles become null so reports
- * never contain bare NaN/Inf tokens. No parser — consumers are
- * external tooling (jq, python) and the golden-file tests.
+ * dumps, run reports, and Perfetto trace_event exports. Emits compact,
+ * valid JSON with proper string escaping; non-finite doubles become
+ * null so reports never contain bare NaN/Inf tokens. No parser —
+ * consumers are external tooling (jq, python) and the golden-file
+ * tests.
  */
 
 #ifndef PGSS_OBS_JSON_HH

@@ -1,6 +1,6 @@
 #include "obs/progress.hh"
 
-#include "obs/trace.hh"
+#include <chrono>
 
 namespace pgss::obs
 {
@@ -11,6 +11,15 @@ namespace
 thread_local JobHandle *t_current_job = nullptr;
 
 } // anonymous namespace
+
+double
+wallSeconds()
+{
+    using clock = std::chrono::steady_clock;
+    return std::chrono::duration<double>(
+               clock::now().time_since_epoch())
+        .count();
+}
 
 void
 JobHandle::addOps(std::uint64_t n)

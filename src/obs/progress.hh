@@ -42,6 +42,9 @@
 namespace pgss::obs
 {
 
+/** Monotonic wall-clock seconds (steady clock): heartbeat time base. */
+double wallSeconds();
+
 /** Lifecycle of one job slot. */
 enum class JobState : std::uint8_t
 {

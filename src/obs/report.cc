@@ -15,11 +15,9 @@
 #include <unistd.h>
 
 #include "obs/json.hh"
-#include "obs/perf.hh"
 #include "obs/spans.hh"
 #include "obs/telemetry.hh"
 #include "obs/timeline.hh"
-#include "obs/trace.hh"
 #include "util/atomic_file.hh"
 #include "util/env.hh"
 #include "util/fi.hh"
@@ -157,10 +155,10 @@ writeTimelineCsv()
 }
 
 /**
- * Best-effort flush on abnormal exit: drain the trace sink and write
- * the report/CSV marked partial. Called from std::atexit and from the
- * signal watcher thread (never from a signal handler: it allocates,
- * writes files and joins the telemetry threads).
+ * Best-effort flush on abnormal exit: write the report (marked
+ * partial), the CSV and the Perfetto trace. Called from std::atexit
+ * and from the signal watcher thread (never from a signal handler:
+ * it allocates, writes files and joins the telemetry threads).
  */
 void
 emergencyFlush(const char *why)
@@ -174,8 +172,6 @@ emergencyFlush(const char *why)
     stopTelemetry();
     state().partial = true;
     setReportMeta("exit_reason", std::string(why));
-    if (TraceSink *t = traceSink())
-        t->flush();
     // The span rings drain too: the report's "profile" section and
     // the Perfetto trace are written from whatever each thread had
     // recorded (wrapped rings carry their truncation markers). The
@@ -281,10 +277,9 @@ installExitHandlers()
     if (installed)
         return;
     installed = true;
-    // Registered after the trace sink's global storage is initialised
-    // (applyObsFlags runs first), so the atexit flush sees a live
-    // sink and the sink's destructor — which appends the trace eof
-    // accounting line — still runs afterwards.
+    // Registered after the obs globals are initialised (applyObsFlags
+    // runs first), so the atexit flush runs before their destructors
+    // and still sees the installed profiler and timeline recorder.
     std::atexit(obsAtexitFlush);
     std::signal(SIGINT, obsSignalFlush);
     std::signal(SIGTERM, obsSignalFlush);
@@ -304,7 +299,6 @@ parseObsFlags(int &argc, char **argv)
 {
     ObsFlags flags;
     flags.stats_json = util::envString("PGSS_STATS_JSON", "");
-    flags.trace_out = util::envString("PGSS_TRACE_OUT", "");
     flags.timeline_out = util::envString("PGSS_TIMELINE_OUT", "");
     flags.profile_out = util::envString("PGSS_PROFILE_OUT", "");
     flags.timelines =
@@ -328,21 +322,19 @@ parseObsFlags(int &argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (const char *v = flagValue(argv[i], "--stats-json")) {
             flags.stats_json = v;
-        } else if (const char *v2 = flagValue(argv[i], "--trace-out")) {
-            flags.trace_out = v2;
-        } else if (const char *v3 =
+        } else if (const char *v2 =
                        flagValue(argv[i], "--timeline-out")) {
-            flags.timeline_out = v3;
-        } else if (const char *v4 =
+            flags.timeline_out = v2;
+        } else if (const char *v3 =
                        flagValue(argv[i], "--timeline-interval")) {
-            flags.timeline_interval = std::strtoull(v4, nullptr, 10);
-        } else if (const char *v5 =
+            flags.timeline_interval = std::strtoull(v3, nullptr, 10);
+        } else if (const char *v4 =
                        flagValue(argv[i], "--profile-out")) {
-            flags.profile_out = v5;
-        } else if (const char *v6 = flagValue(argv[i], "--serve")) {
+            flags.profile_out = v4;
+        } else if (const char *v5 = flagValue(argv[i], "--serve")) {
             flags.serve = true;
             flags.serve_port = static_cast<std::uint16_t>(
-                std::strtoul(v6, nullptr, 10));
+                std::strtoul(v5, nullptr, 10));
         } else if (std::strcmp(argv[i], "--timelines") == 0) {
             flags.timelines = true;
         } else if (std::strcmp(argv[i], "--profile") == 0) {
@@ -367,8 +359,6 @@ applyObsFlags(const ObsFlags &flags)
     state().stats_json_path = flags.stats_json;
     state().timeline_csv_path = flags.timeline_out;
     state().profile_out_path = flags.profile_out;
-    if (!flags.trace_out.empty())
-        setTraceSink(std::make_unique<TraceSink>(flags.trace_out));
     if (flags.timelines) {
         TimelineConfig cfg;
         if (flags.timeline_interval > 0)
@@ -514,7 +504,16 @@ reportJsonString()
     for (const auto &kv : state().meta_num)
         w.field(kv.first, kv.second);
     w.endObject();
-    perf().dumpJson(w);
+    w.beginObject("perf");
+    for (const PerfRow &r : perfRows()) {
+        w.beginObject(r.key);
+        w.field("calls", r.calls);
+        w.field("ops", r.ops);
+        w.field("seconds", r.seconds);
+        w.field("mips", r.mips);
+        w.endObject();
+    }
+    w.endObject();
     registry().dumpJson(w);
     // Flat path -> registry-kind map, so the offline Prometheus
     // export (pgss_report metrics) types stats the same way the live
@@ -541,8 +540,6 @@ finalize()
     // Stop serving before assembling outputs: no scrape observes the
     // final report mid-write, and the port is free when main() ends.
     stopTelemetry();
-    if (TraceSink *t = traceSink())
-        t->flush();
 
     const bool report_ok = writeReportFile();
     const bool csv_ok = writeTimelineCsv();

@@ -9,18 +9,17 @@
  *   - "partial": false normally; true when written by the abnormal-
  *     exit path (signal or atexit before finalize())
  *   - "meta": free-form key/value annotations (workload scale, ...)
- *   - "perf": the global PerfRegistry (per-mode host time and MIPS)
+ *   - "perf": per-mode host time and MIPS, from the engine's span
+ *     site totals (obs/spans.hh perfRows())
  *   - "stats": the global StatsRegistry tree
  *   - "timelines": time-series section (only when timelines are on;
- *     see obs/timeline.hh and DESIGN.md section 8.5)
+ *     see obs/timeline.hh and DESIGN.md section 8.4)
  *   - "profile": span-profiler section (only when profiling is on;
  *     see obs/spans.hh and DESIGN.md section 11)
  *
  * Flags (also honoured as environment variables):
  *   --stats-json=<path>        (PGSS_STATS_JSON)        write the
  *                              report on finalize()
- *   --trace-out=<path>         (PGSS_TRACE_OUT)         stream trace
- *                              events as JSONL
  *   --timelines                (PGSS_TIMELINES=1)       enable the
  *                              timeline recorder at the default
  *                              snapshot stride
@@ -44,8 +43,8 @@
  * flags it consumes from argv so positional argument parsing in the
  * binaries keeps working, installs the requested sinks, and registers
  * the abnormal-exit handlers (std::atexit plus SIGINT/SIGTERM) that
- * flush the trace sink and write a partial run report, so an
- * interrupted long run still yields usable observability data.
+ * write a partial run report, so an interrupted long run still yields
+ * usable observability data.
  */
 
 #ifndef PGSS_OBS_REPORT_HH
@@ -71,7 +70,6 @@ StatsRegistry &registry();
 struct ObsFlags
 {
     std::string stats_json;   ///< run-report path ("" = off)
-    std::string trace_out;    ///< trace JSONL path ("" = off)
     std::string timeline_out; ///< timeline CSV path ("" = no CSV)
     std::string profile_out;  ///< trace_event JSON path ("" = none)
     bool timelines = false;   ///< record timelines (implied by the
@@ -92,8 +90,9 @@ struct ObsFlags
 ObsFlags parseObsFlags(int &argc, char **argv);
 
 /**
- * Install the sinks @p flags request: the trace sink, the timeline
- * recorder, and the report/CSV output paths consumed by finalize().
+ * Install the sinks @p flags request: the timeline recorder, the span
+ * profiler, and the report/CSV/trace_event output paths consumed by
+ * finalize().
  */
 void applyObsFlags(const ObsFlags &flags);
 
@@ -131,8 +130,9 @@ const std::string &reportProgramName();
 std::string reportJsonString();
 
 /**
- * Flush the trace sink and, when --stats-json/--timeline-out were
- * given, write the run report and timeline CSV. Call once at the end
+ * Stop telemetry and, when --stats-json/--timeline-out/--profile-out
+ * were given, write the run report, timeline CSV and Perfetto trace.
+ * Call once at the end
  * of main(), while every component registered into registry() is
  * still alive. @return false when a requested output could not be
  * written.

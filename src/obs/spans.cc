@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <map>
 #include <ostream>
 
@@ -34,6 +35,13 @@ std::atomic<SpanProfiler *> g_profiler{nullptr};
 /** Distinguishes profiler instances even at reused addresses. */
 std::atomic<std::uint64_t> g_instance_counter{0};
 
+SpanSite g_engine_mode_sites[] = {
+    {"engine.functional_fast", SpanCat::Ff},
+    {"engine.functional_warm", SpanCat::Ff},
+    {"engine.detailed_warm", SpanCat::Detailed},
+    {"engine.detailed_measure", SpanCat::Detailed},
+};
+
 } // anonymous namespace
 
 const char *
@@ -58,6 +66,34 @@ spanCatName(SpanCat cat)
         return "other";
     }
     return "other";
+}
+
+// ---- Span sites ----------------------------------------------------
+
+SpanSite &
+engineModeSite(int mode)
+{
+    return g_engine_mode_sites[mode];
+}
+
+std::vector<PerfRow>
+perfRows()
+{
+    std::vector<PerfRow> rows;
+    for (const SpanSite &site : g_engine_mode_sites) {
+        PerfRow r;
+        // "engine.<mode>" reports as "mode.<mode>".
+        r.key = std::string("mode.") +
+                (std::strchr(site.name(), '.') + 1);
+        r.calls = site.calls();
+        r.ops = site.ops();
+        r.seconds = static_cast<double>(site.ns()) / 1e9;
+        r.mips = r.seconds > 0.0
+                     ? static_cast<double>(r.ops) / r.seconds / 1e6
+                     : 0.0;
+        rows.push_back(std::move(r));
+    }
+    return rows;
 }
 
 // ---- SpanBuffer ----------------------------------------------------
@@ -175,12 +211,14 @@ SpanProfiler::totalDropped() const
 void
 SpanProfiler::calibrate()
 {
-    // Time open/close pairs against a scratch buffer: two clock
-    // reads, the stack round-trip, and the ring write — the same
-    // work a real span does. Reported, not subtracted: flame views
-    // need to know how much of a short span is instrumentation.
+    // Time open/close pairs against a scratch buffer and site: two
+    // clock reads, the stack round-trip, the site totals and the ring
+    // write — the same work a real span does. Reported, not
+    // subtracted: flame views need to know how much of a short span
+    // is instrumentation.
     constexpr int kIters = 4096;
     SpanBuffer scratch(~0u, "calibration", 512);
+    SpanSite site("calibration", SpanCat::Other);
     const std::uint64_t t0 = steadyNowNs();
     for (int i = 0; i < kIters; ++i) {
         scratch.stack.push_back({"calibration", 0});
@@ -189,6 +227,7 @@ SpanProfiler::calibrate()
         rec.start_ns = nowNs();
         rec.dur_ns = nowNs() - rec.start_ns;
         rec.self_ns = rec.dur_ns;
+        site.add(0, rec.dur_ns);
         scratch.stack.pop_back();
         scratch.push(rec);
     }
@@ -400,29 +439,34 @@ setSpanProfiler(std::unique_ptr<SpanProfiler> profiler)
 
 // ---- ScopedSpan ----------------------------------------------------
 
-ScopedSpan::ScopedSpan(const char *name, SpanCat cat)
-    : profiler_(spanProfiler()), name_(name), cat_(cat)
+ScopedSpan::ScopedSpan(SpanSite &site)
+    : site_(site), profiler_(spanProfiler())
 {
-    if (!profiler_)
+    if (!profiler_) {
+        start_ns_ = steadyNowNs();
         return;
+    }
     buffer_ = &profiler_->threadBuffer();
     if (!buffer_->stack.empty())
         parent_ = buffer_->stack.back().name;
-    buffer_->stack.push_back({name, 0});
+    buffer_->stack.push_back({site.name(), 0});
     // Clock read last so registration cost lands outside the span.
     start_ns_ = profiler_->nowNs();
 }
 
 ScopedSpan::~ScopedSpan()
 {
+    const std::uint64_t end =
+        profiler_ ? profiler_->nowNs() : steadyNowNs();
+    const std::uint64_t dur = end >= start_ns_ ? end - start_ns_ : 0;
+    site_.add(ops_, dur);
     if (!profiler_)
         return;
-    const std::uint64_t end = profiler_->nowNs();
     SpanRecord rec;
-    rec.name = name_;
+    rec.name = site_.name();
     rec.parent = parent_;
     rec.start_ns = start_ns_;
-    rec.dur_ns = end >= start_ns_ ? end - start_ns_ : 0;
+    rec.dur_ns = dur;
     const SpanBuffer::Frame frame = buffer_->stack.back();
     buffer_->stack.pop_back();
     rec.self_ns = rec.dur_ns >= frame.child_ns
@@ -430,7 +474,7 @@ ScopedSpan::~ScopedSpan()
                       : 0;
     rec.depth = static_cast<std::uint32_t>(buffer_->stack.size());
     rec.ops = ops_;
-    rec.cat = cat_;
+    rec.cat = site_.cat();
     if (!buffer_->stack.empty())
         buffer_->stack.back().child_ns += rec.dur_ns;
     buffer_->push(rec);

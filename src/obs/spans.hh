@@ -1,23 +1,30 @@
 /**
  * @file
- * Span-based self-profiling: a causal view of where wall-clock goes
- * inside a run, complementing the aggregate timers of obs/perf. A
- * *span* is one timed scope — a fast-forward chunk, a detailed
- * window, a checkpoint restore, a k-means invocation, a bench entry —
- * opened and closed by an RAII guard:
+ * Span-based self-profiling, and the one host-time model of the
+ * simulator. A *span* is one timed scope — a fast-forward chunk, a
+ * detailed window, a checkpoint restore, a k-means invocation, a bench
+ * entry — opened and closed by an RAII guard:
  *
- *     PGSS_SPAN("engine.functional_fast", Ff);
+ *     PGSS_SPAN("engine.reset", Checkpoint);
  *     ... work ...
  *     // or PGSS_SPAN_NAMED(span, ...) + span.addOps(ops_retired)
  *
- * Records land in *per-thread* fixed-capacity ring buffers: the hot
- * path takes no locks, touches no shared cache lines, and costs two
- * monotonic clock reads plus one struct write per span. The global
- * registry (mutex-protected, first-use only) tracks every thread's
- * buffer so PGSS_JOBS workers — named by util::ThreadPool — appear as
- * separate tracks. When a ring wraps, the oldest records are
- * overwritten and the loss is accounted (dropped counter + truncation
- * marker in every sink).
+ * Every span call site owns one SpanSite (a constant-initialised
+ * static that PGSS_SPAN declares; the engine's per-SimMode sites are
+ * engineModeSite()). Closing a span always adds its calls, attached
+ * simulated instructions and wall-clock nanoseconds to the site's
+ * relaxed-atomic totals: two clock reads and three adds, no name
+ * lookup, no lock. The engine sites' totals are the run report's
+ * "perf" section (perfRows()), the perf.mode.* timeline series and
+ * the pgss_perf_* Prometheus families.
+ *
+ * With a profiler installed (--profile), each span is also recorded
+ * into a *per-thread* fixed-capacity ring buffer: lock-free, one
+ * struct write per span. The global registry (mutex-protected,
+ * first-use only) tracks every thread's buffer so PGSS_JOBS workers —
+ * named by util::ThreadPool — appear as separate tracks. When a ring
+ * wraps, the oldest records are overwritten and the loss is accounted
+ * (dropped counter + truncation marker in every sink).
  *
  * Each record carries nesting depth and parent identity (maintained
  * by a per-thread open-span stack), so the profiler can report both
@@ -25,8 +32,8 @@
  * enclosed child spans), plus an attached simulated-instruction count
  * from which per-span host MIPS is derived.
  *
- * Two sinks, both assembled after workers have joined (or best-effort
- * from the abnormal-exit flush):
+ * Two profiler sinks, both assembled after workers have joined (or
+ * best-effort from the abnormal-exit flush):
  *
  *  - writeTraceEventJson(): Chrome/Perfetto trace_event JSON —
  *    complete "X" events on named thread tracks, loadable in
@@ -38,9 +45,7 @@
  *    instrumentation overhead (startup calibration loop), so short
  *    spans are not misread as free (--profile, PGSS_PROFILE=1).
  *
- * Off by default: with no profiler installed a PGSS_SPAN costs one
- * relaxed atomic load and a predictable branch. See DESIGN.md
- * section 11.
+ * See DESIGN.md section 11.
  */
 
 #ifndef PGSS_OBS_SPANS_HH
@@ -78,6 +83,82 @@ constexpr int span_cat_count = static_cast<int>(SpanCat::Other) + 1;
 
 /** Report/trace "cat" string for @p cat. */
 const char *spanCatName(SpanCat cat);
+
+/**
+ * One span call site's lifetime totals, kept whether or not a
+ * profiler is installed. Constant-initialised, so a function-local
+ * static site (PGSS_SPAN) needs no guard. Thread-safe: closing spans
+ * add with relaxed atomics; readers see each total atomically but not
+ * the three as one snapshot (read after workers join for exact sums).
+ */
+class SpanSite
+{
+  public:
+    constexpr SpanSite(const char *name, SpanCat cat)
+        : name_(name), cat_(cat)
+    {
+    }
+
+    SpanSite(const SpanSite &) = delete;
+    SpanSite &operator=(const SpanSite &) = delete;
+
+    /** Account one closed span. */
+    void add(std::uint64_t ops, std::uint64_t ns)
+    {
+        calls_.fetch_add(1, std::memory_order_relaxed);
+        ops_.fetch_add(ops, std::memory_order_relaxed);
+        ns_.fetch_add(ns, std::memory_order_relaxed);
+    }
+
+    const char *name() const { return name_; }
+    SpanCat cat() const { return cat_; }
+    std::uint64_t calls() const
+    {
+        return calls_.load(std::memory_order_relaxed);
+    }
+    std::uint64_t ops() const
+    {
+        return ops_.load(std::memory_order_relaxed);
+    }
+    std::uint64_t ns() const
+    {
+        return ns_.load(std::memory_order_relaxed);
+    }
+
+  private:
+    const char *name_; ///< static string; records keep the pointer
+    SpanCat cat_;
+    std::atomic<std::uint64_t> calls_{0};
+    std::atomic<std::uint64_t> ops_{0};
+    std::atomic<std::uint64_t> ns_{0};
+};
+
+/**
+ * The engine's span site for sim::SimMode value @p mode:
+ * "engine.functional_fast", "engine.functional_warm",
+ * "engine.detailed_warm", "engine.detailed_measure". Defined here,
+ * not in sim/, because their totals are also the report's "perf"
+ * section, which obs builds without depending on the engine.
+ */
+SpanSite &engineModeSite(int mode);
+
+/** One row of the run report's "perf" section. */
+struct PerfRow
+{
+    std::string key; ///< "mode.<mode>"
+    std::uint64_t calls = 0;
+    std::uint64_t ops = 0;
+    double seconds = 0.0;
+    double mips = 0.0; ///< 0 while untimed
+};
+
+/**
+ * Host time and simulated MIPS per engine mode, in SimMode order,
+ * from the engineModeSite() totals: the source of the report's "perf"
+ * section, the perf.mode.*.ops timeline series and the live
+ * pgss_perf_* metrics.
+ */
+std::vector<PerfRow> perfRows();
 
 /** One closed span. POD; written once by the owning thread. */
 struct SpanRecord
@@ -162,8 +243,8 @@ struct SpanProfilerConfig
 /**
  * The process-wide span profiler. Threads register lazily on their
  * first span (mutex-protected, once per thread); every later span is
- * lock-free. Install with setSpanProfiler(); every PGSS_SPAN is a
- * cheap no-op while no profiler is installed.
+ * lock-free. Install with setSpanProfiler(); while none is installed
+ * a span only updates its site's totals.
  */
 class SpanProfiler
 {
@@ -236,15 +317,15 @@ SpanProfiler *spanProfiler();
 void setSpanProfiler(std::unique_ptr<SpanProfiler> profiler);
 
 /**
- * RAII span guard. Opens on construction when a profiler is
- * installed, closes (and records) on destruction. @p name must be a
- * string with static storage duration — the literal passed to
- * PGSS_SPAN — because records keep the pointer, not a copy.
+ * RAII span guard. Closing adds the span to @p site's totals; with a
+ * profiler installed at open it is also recorded in the thread's
+ * ring. @p site outlives the span (PGSS_SPAN's static, or
+ * engineModeSite()).
  */
 class ScopedSpan
 {
   public:
-    ScopedSpan(const char *name, SpanCat cat);
+    explicit ScopedSpan(SpanSite &site);
     ~ScopedSpan();
 
     ScopedSpan(const ScopedSpan &) = delete;
@@ -257,13 +338,12 @@ class ScopedSpan
     bool active() const { return profiler_ != nullptr; }
 
   private:
+    SpanSite &site_;
     SpanProfiler *profiler_;
     SpanBuffer *buffer_ = nullptr;
-    const char *name_;
     const char *parent_ = nullptr;
     std::uint64_t start_ns_ = 0;
     std::uint64_t ops_ = 0;
-    SpanCat cat_;
 };
 
 // Two-step expansion so __LINE__ pastes into a unique variable name.
@@ -271,20 +351,20 @@ class ScopedSpan
 #define PGSS_SPAN_CONCAT(a, b) PGSS_SPAN_CONCAT2(a, b)
 
 /**
- * Open a named span for the rest of the enclosing scope.
+ * Open a span bound to @p var for the rest of the enclosing scope, so
+ * the scope can attach instruction counts with var.addOps(n).
  * @p name: string literal; @p cat: bare SpanCat enumerator (Ff,
- * Detailed, Checkpoint, Cluster, Bench, Io, Decode, Other).
- */
-#define PGSS_SPAN(name, cat)                                          \
-    pgss::obs::ScopedSpan PGSS_SPAN_CONCAT(pgss_span_, __LINE__)(     \
-        name, pgss::obs::SpanCat::cat)
-
-/**
- * Like PGSS_SPAN but binds the guard to @p var so the scope can
- * attach instruction counts with var.addOps(n).
+ * Detailed, Checkpoint, Cluster, Bench, Io, Decode, Other). Declares
+ * the call site's static SpanSite next to the guard.
  */
 #define PGSS_SPAN_NAMED(var, name, cat)                               \
-    pgss::obs::ScopedSpan var(name, pgss::obs::SpanCat::cat)
+    static constinit pgss::obs::SpanSite PGSS_SPAN_CONCAT(            \
+        var, _site){name, pgss::obs::SpanCat::cat};                   \
+    pgss::obs::ScopedSpan var(PGSS_SPAN_CONCAT(var, _site))
+
+/** Open a named span for the rest of the enclosing scope. */
+#define PGSS_SPAN(name, cat)                                          \
+    PGSS_SPAN_NAMED(PGSS_SPAN_CONCAT(pgss_span_, __LINE__), name, cat)
 
 } // namespace pgss::obs
 

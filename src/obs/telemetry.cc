@@ -5,11 +5,10 @@
 #include <sstream>
 
 #include "obs/json.hh"
-#include "obs/perf.hh"
 #include "obs/progress.hh"
 #include "obs/prometheus.hh"
 #include "obs/report.hh"
-#include "obs/trace.hh"
+#include "obs/spans.hh"
 #include "util/logging.hh"
 #include "util/net/http.hh"
 
@@ -54,23 +53,16 @@ liveReportValues(std::vector<std::pair<std::string, double>> &values,
         values.emplace_back("meta." + key, v);
         types.push_back(MetricType::Gauge);
     }
-    for (const PerfHandle *h : perf().handles()) {
-        const std::string base = "perf." + h->name;
-        values.emplace_back(
-            base + ".calls",
-            static_cast<double>(
-                h->calls.load(std::memory_order_relaxed)));
+    for (const PerfRow &r : perfRows()) {
+        const std::string base = "perf." + r.key;
+        values.emplace_back(base + ".calls",
+                            static_cast<double>(r.calls));
         types.push_back(MetricType::Counter);
-        values.emplace_back(
-            base + ".ops",
-            static_cast<double>(
-                h->ops.load(std::memory_order_relaxed)));
+        values.emplace_back(base + ".ops", static_cast<double>(r.ops));
         types.push_back(MetricType::Counter);
-        values.emplace_back(
-            base + ".seconds",
-            h->seconds.load(std::memory_order_relaxed));
+        values.emplace_back(base + ".seconds", r.seconds);
         types.push_back(MetricType::Counter);
-        values.emplace_back(base + ".mips", h->mips());
+        values.emplace_back(base + ".mips", r.mips);
         types.push_back(MetricType::Gauge);
     }
     for (const auto &[path, kind] : registry().flattenKinds())

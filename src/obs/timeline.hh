@@ -2,7 +2,7 @@
  * @file
  * Time-series observability: bounded-memory timelines of what a run
  * did over simulated time, complementing the end-of-run aggregates of
- * the stats registry and the raw event stream of the trace sink.
+ * the stats registry and the span records of obs/spans.
  *
  * Three kinds of series, all constant-memory for arbitrarily long
  * runs via stride-doubling downsampling (when a buffer fills, every
@@ -13,7 +13,8 @@
  *  - Counter snapshots: every `interval_ops` committed instructions
  *    (accumulated across every engine in the process), the recorder
  *    snapshots each Counter registered in the global stats registry
- *    plus each perf-handle op count onto one shared op axis.
+ *    plus each engine mode's span op total (perf.mode.<mode>.ops)
+ *    onto one shared op axis.
  *  - Phase timeline: per named run, the sequence of (op, phase id)
  *    classifications a sampling controller made.
  *  - Convergence curves: per named run and phase, one point per
@@ -33,7 +34,7 @@
  *
  * Serialized into the run report as the schema-versioned "timelines"
  * section and, with --timeline-out=, as long-format CSV (DESIGN.md
- * section 8.5). `tools/pgss_report` renders both.
+ * section 8.4). `tools/pgss_report` renders both.
  */
 
 #ifndef PGSS_OBS_TIMELINE_HH
@@ -257,7 +258,7 @@ class TimelineRecorder
     /**
      * Long-format CSV: kind,run,key,op,value,samples,ci_rel,closed —
      * counter snapshots, phase timelines, and convergence curves in
-     * one table (DESIGN.md section 8.5).
+     * one table (DESIGN.md section 8.4).
      */
     void writeCsv(std::ostream &os) const;
 

@@ -1,14 +1,11 @@
 #include "sim/engine.hh"
 
 #include <bit>
-#include <string>
 
-#include "obs/perf.hh"
 #include "obs/progress.hh"
 #include "obs/spans.hh"
 #include "obs/stats.hh"
 #include "obs/timeline.hh"
-#include "obs/trace.hh"
 #include "sim/checkpoint.hh"
 #include "util/logging.hh"
 
@@ -47,28 +44,6 @@ modeStatName(SimMode mode)
     return "unknown";
 }
 
-namespace
-{
-
-/** Span name per mode (static storage; records keep the pointer). */
-const char *
-modeSpanName(SimMode mode)
-{
-    switch (mode) {
-      case SimMode::FunctionalFast:
-        return "engine.functional_fast";
-      case SimMode::FunctionalWarm:
-        return "engine.functional_warm";
-      case SimMode::DetailedWarm:
-        return "engine.detailed_warm";
-      case SimMode::DetailedMeasure:
-        return "engine.detailed_measure";
-    }
-    return "engine.unknown";
-}
-
-} // anonymous namespace
-
 SimulationEngine::SimulationEngine(const isa::Program &program,
                                    const EngineConfig &config)
     : program_(program), config_(config),
@@ -85,13 +60,6 @@ SimulationEngine::SimulationEngine(const isa::Program &program,
     branch_unit_ = std::make_unique<timing::BranchUnit>(config.branch);
     pipeline_ = std::make_unique<timing::InOrderPipeline>(
         config.pipeline, *hierarchy_, *branch_unit_);
-
-    // Per-mode host timers are process-global so every engine (and
-    // there are many per bench) accumulates into the same trajectory.
-    for (int m = 0; m < 4; ++m)
-        mode_perf_[m] = obs::perf().handle(
-            std::string("mode.") +
-            modeStatName(static_cast<SimMode>(m)));
 }
 
 void
@@ -307,23 +275,14 @@ SimulationEngine::run(std::uint64_t n, SimMode mode)
         pipeline_->resync();
     last_was_detailed_ = detailed;
 
-    if (static_cast<int>(mode) != last_mode_) {
-        last_mode_ = static_cast<int>(mode);
-        if (obs::TraceSink *t = obs::traceSink())
-            t->emit(obs::TraceKind::ModeSwitch, core_->retired(),
-                    static_cast<std::uint32_t>(mode));
-    }
-
     const bool bbv = hashed_bbv_enabled_ || full_bbv_enabled_;
     const std::uint64_t cycles_before = pipeline_->cycles();
-    const double wall_before = obs::wallSeconds();
 
     // One span per run() chunk (>= a sample window of work, never
-    // per instruction): the causal per-thread view the Perfetto
-    // export and the "profile" report section are built from.
-    obs::ScopedSpan span(modeSpanName(mode),
-                         detailed ? obs::SpanCat::Detailed
-                                  : obs::SpanCat::Ff);
+    // per instruction). Its process-global per-mode site totals are
+    // the report's "perf" section; under --profile it is also the
+    // causal per-thread record the Perfetto export is built from.
+    obs::ScopedSpan span(obs::engineModeSite(static_cast<int>(mode)));
 
     std::uint64_t done = 0;
     switch (mode) {
@@ -348,8 +307,6 @@ SimulationEngine::run(std::uint64_t n, SimMode mode)
     }
 
     span.addOps(done);
-    mode_perf_[static_cast<int>(mode)]->add(
-        done, obs::wallSeconds() - wall_before);
 
     // Time-series observability: one predictable null check per run()
     // chunk (per period, never per instruction) when timelines are
@@ -476,8 +433,6 @@ SimulationEngine::checkpoint() const
     c.hierarchy_ = hierarchy_->state();
     c.branch_ = branch_unit_->state();
     memory_->clearPageDirty();
-    if (obs::TraceSink *t = obs::traceSink())
-        t->emit(obs::TraceKind::CheckpointSave, core_->retired());
     return c;
 }
 
@@ -507,8 +462,6 @@ SimulationEngine::checkpointDelta() const
     c.hierarchy_ = hierarchy_->state();
     c.branch_ = branch_unit_->state();
     memory_->clearPageDirty();
-    if (obs::TraceSink *t = obs::traceSink())
-        t->emit(obs::TraceKind::CheckpointSave, core_->retired());
     return c;
 }
 
@@ -536,8 +489,6 @@ SimulationEngine::restore(const Checkpoint &ckpt)
     last_was_detailed_ = false;
     hashed_bbv_.reset();
     full_bbv_.reset();
-    if (obs::TraceSink *t = obs::traceSink())
-        t->emit(obs::TraceKind::CheckpointRestore, core_->retired());
 }
 
 } // namespace pgss::sim

@@ -106,9 +106,10 @@ TEST(KMeans, RepresentativeIsNearestMember)
         const double rep_d =
             sq(points[r.representatives[c]], r.centroids[c]);
         for (std::size_t i = 0; i < points.size(); ++i)
-            if (r.assignment[i] == c)
+            if (r.assignment[i] == c) {
                 EXPECT_GE(sq(points[i], r.centroids[c]) + 1e-12,
                           rep_d);
+            }
     }
 }
 

@@ -3,11 +3,13 @@
  * End-to-end observability tests over a real PGSS run: the stats
  * registry's per-mode op counters must equal the engine's ModeOps
  * accounting exactly, controller counters must match the PgssResult,
- * and the trace stream must tell a consistent story (ordering,
- * sample open/close pairing).
+ * and the engine's span records plus the timeline recorder must tell
+ * a consistent story (ordering, warm-up/measure pairing, one phase
+ * point per period and one convergence point per credited sample).
  */
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -15,11 +17,35 @@
 
 #include "core/pgss_controller.hh"
 #include "helpers.hh"
+#include "obs/spans.hh"
 #include "obs/stats.hh"
-#include "obs/trace.hh"
+#include "obs/timeline.hh"
 #include "sim/engine.hh"
 
 using namespace pgss;
+
+namespace
+{
+
+/** Deterministic profiler clock: every read advances 1 us. */
+std::uint64_t
+tickNs()
+{
+    static std::uint64_t now = 0;
+    return now += 1'000;
+}
+
+/** The engine mode a span record belongs to, or -1 for other spans. */
+int
+engineMode(const obs::SpanRecord &r)
+{
+    for (int m = 0; m < 4; ++m)
+        if (std::strcmp(r.name, obs::engineModeSite(m).name()) == 0)
+            return m;
+    return -1;
+}
+
+} // anonymous namespace
 
 TEST(ObsIntegration, PerModeCountersMatchModeOpsExactly)
 {
@@ -98,56 +124,75 @@ TEST(ObsIntegration, HierarchyBranchPipelineAndControllerStats)
 
 TEST(ObsIntegration, TraceStreamIsOrderedAndPaired)
 {
-    obs::setTraceSink(
-        std::make_unique<obs::TraceSink>("", 1 << 16));
+    obs::SpanProfilerConfig pc;
+    pc.now_ns = tickNs;
+    pc.calibrate = false;
+    obs::setSpanProfiler(std::make_unique<obs::SpanProfiler>(pc));
+    obs::setTimelineRecorder(
+        std::make_unique<obs::TimelineRecorder>(obs::TimelineConfig{}));
 
     const workload::BuiltWorkload built = test::twoPhaseWorkload();
     sim::SimulationEngine engine(built.program);
+    obs::StatsRegistry reg;
     core::PgssConfig config;
     config.bbv_period = 100'000;
-    const core::PgssResult result =
-        core::PgssController(config).run(engine);
+    core::PgssController controller(config);
+    controller.registerStats(reg.root());
+    const core::PgssResult result = controller.run(engine);
 
-    const std::vector<obs::TraceEvent> events =
-        obs::traceSink()->events();
-    obs::setTraceSink(nullptr);
+    std::vector<obs::SpanRecord> spans;
+    for (const obs::SpanBuffer *b : obs::spanProfiler()->buffers())
+        for (const obs::SpanRecord &r : b->records())
+            if (engineMode(r) >= 0)
+                spans.push_back(r);
+    ASSERT_EQ(obs::spanProfiler()->totalDropped(), 0u);
+    ASSERT_EQ(obs::spanProfiler()->buffers().size(), 1u);
+    const obs::TimelineRecorder *tl = obs::timelines();
+    ASSERT_NE(tl, nullptr);
+    ASSERT_EQ(tl->runs().size(), 1u);
+    const obs::TimelineRun &run = tl->runs()[0];
+    std::uint64_t convergence_points = 0;
+    for (const obs::TimelineRun::Curve &c : run.curves)
+        convergence_points += c.series.recorded();
+    const std::uint64_t phase_points = run.phase_timeline.recorded();
+    obs::setSpanProfiler(nullptr);
+    obs::setTimelineRecorder(nullptr);
+    ASSERT_FALSE(spans.empty());
 
-    ASSERT_EQ(obs::traceSink(), nullptr);
-    ASSERT_FALSE(events.empty());
+    // The run opens in functional warming.
+    const int warm = static_cast<int>(sim::SimMode::FunctionalWarm);
+    const int dwarm = static_cast<int>(sim::SimMode::DetailedWarm);
+    const int dmeas = static_cast<int>(sim::SimMode::DetailedMeasure);
+    EXPECT_EQ(engineMode(spans[0]), warm);
 
-    // First event is the initial mode switch into functional warming.
-    EXPECT_EQ(events[0].kind, obs::TraceKind::ModeSwitch);
-    EXPECT_EQ(events[0].id,
-              static_cast<std::uint32_t>(
-                  sim::SimMode::FunctionalWarm));
-
-    std::uint64_t opens = 0, closes = 0, phases = 0;
-    std::uint64_t last_op = 0;
-    bool open_pending = false;
-    for (const obs::TraceEvent &e : events) {
-        // Op positions never move backwards.
-        EXPECT_GE(e.op, last_op);
-        last_op = e.op;
-        switch (e.kind) {
-          case obs::TraceKind::SampleOpen:
-            EXPECT_FALSE(open_pending);
-            open_pending = true;
-            ++opens;
-            break;
-          case obs::TraceKind::SampleClose:
-            EXPECT_TRUE(open_pending);
-            open_pending = false;
-            ++closes;
-            EXPECT_GT(e.value, 0.0); // measured CPI
-            break;
-          case obs::TraceKind::PhaseClassified:
-            ++phases;
-            break;
-          default:
-            break;
+    std::uint64_t measured = 0;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        // Chunks start in order on the thread's track.
+        if (i > 0) {
+            EXPECT_GE(spans[i].start_ns, spans[i - 1].start_ns);
+        }
+        const int mode = engineMode(spans[i]);
+        // Every detailed warm-up is followed by its measured window,
+        // and every measured window follows a warm-up.
+        if (mode == dwarm) {
+            ASSERT_LT(i + 1, spans.size());
+            EXPECT_EQ(engineMode(spans[i + 1]), dmeas);
+        }
+        if (mode == dmeas) {
+            ASSERT_GT(i, 0u);
+            EXPECT_EQ(engineMode(spans[i - 1]), dwarm);
+            if (spans[i].ops > 0) {
+                EXPECT_GT(spans[i - 1].ops, 0u);
+                ++measured;
+            }
         }
     }
-    EXPECT_EQ(closes, result.n_samples);
-    EXPECT_GE(opens, closes);
-    EXPECT_GT(phases, 0u);
+    EXPECT_EQ(measured, result.n_samples);
+    EXPECT_GT(result.n_samples, 0u);
+
+    // One phase point per classified period, one convergence point
+    // per credited sample.
+    EXPECT_EQ(phase_points, *reg.counterValue("pgss.periods"));
+    EXPECT_GT(phase_points, 0u);
+    EXPECT_EQ(convergence_points, result.n_samples);
 }

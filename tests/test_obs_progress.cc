@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/progress.hh"
-#include "obs/trace.hh"
 
 using namespace pgss::obs;
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the run report: CLI flag stripping, meta annotations, the
- * pgss-run-report schema, perf-registry serialization, and finalize()
- * writing the report file.
+ * pgss-run-report schema, the "perf" section built from the engine's
+ * span totals, and finalize() writing the report file.
  */
 
 #include <cstdio>
@@ -14,9 +14,10 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/perf.hh"
+#include "obs/json_read.hh"
 #include "obs/report.hh"
-#include "obs/trace.hh"
+#include "obs/spans.hh"
+#include "sim/engine.hh"
 #include "tests/helpers.hh"
 
 using namespace pgss::obs;
@@ -35,33 +36,6 @@ readFile(const std::string &path)
 
 } // namespace
 
-TEST(ObsPerf, HandleAccumulatesAndComputesMips)
-{
-    PerfHandle h;
-    h.name = "test";
-    EXPECT_DOUBLE_EQ(h.mips(), 0.0);
-    h.add(2'000'000, 1.0);
-    h.add(2'000'000, 1.0);
-    EXPECT_EQ(h.calls, 2u);
-    EXPECT_EQ(h.ops, 4'000'000u);
-    EXPECT_DOUBLE_EQ(h.mips(), 2.0);
-}
-
-TEST(ObsPerf, RegistryHandleIsCreateOrGetWithStablePointer)
-{
-    PerfRegistry reg;
-    PerfHandle *a = reg.handle("mode.fast");
-    PerfHandle *b = reg.handle("mode.fast");
-    EXPECT_EQ(a, b);
-    a->add(10, 0.5);
-    reg.handle("mode.warm"); // growth must not invalidate a
-    EXPECT_EQ(reg.handle("mode.fast")->ops, 10u);
-    EXPECT_EQ(reg.handles().size(), 2u);
-    reg.reset();
-    EXPECT_EQ(a->ops, 0u);
-    EXPECT_EQ(a->calls, 0u);
-}
-
 TEST(ObsReport, InitFromCliStripsObservabilityFlags)
 {
     const std::string report =
@@ -69,7 +43,7 @@ TEST(ObsReport, InitFromCliStripsObservabilityFlags)
     char prog[] = "prog";
     char a1[] = "--stats-json=/dev/null";
     char a2[] = "164.gzip";
-    char a3[] = "--trace-out="; // empty value: no sink installed
+    char a3[] = "--timeline-out="; // empty value: no CSV written
     char a4[] = "0.5";
     char *argv[] = {prog, a1, a2, a3, a4, nullptr};
     int argc = 5;
@@ -81,7 +55,7 @@ TEST(ObsReport, InitFromCliStripsObservabilityFlags)
     EXPECT_STREQ(argv[2], "0.5");
     EXPECT_EQ(argv[3], nullptr);
     EXPECT_EQ(statsJsonPath(), "/dev/null");
-    EXPECT_EQ(traceSink(), nullptr);
+    EXPECT_EQ(timelineCsvPath(), "");
     (void)report;
 }
 
@@ -95,7 +69,17 @@ TEST(ObsReport, ReportCarriesSchemaAndSections)
     initFromCli(argc, argv, "test_report");
     setReportMeta("workload", "164.gzip");
     setReportMeta("workload_scale", 0.25);
-    perf().handle("mode.functional_fast")->add(1'000'000, 0.25);
+
+    // One real engine chunk with no profiler installed: the span
+    // totals behind the "perf" section are always on.
+    ASSERT_EQ(spanProfiler(), nullptr);
+    const std::vector<PerfRow> before = perfRows();
+    const pgss::workload::BuiltWorkload built =
+        pgss::test::twoPhaseWorkload();
+    pgss::sim::SimulationEngine engine(built.program);
+    const std::uint64_t ran =
+        engine.run(10'000, pgss::sim::SimMode::FunctionalWarm).ops;
+    ASSERT_EQ(ran, 10'000u);
 
     const std::string doc = reportJsonString();
     EXPECT_EQ(doc.front(), '{');
@@ -109,10 +93,35 @@ TEST(ObsReport, ReportCarriesSchemaAndSections)
     EXPECT_NE(doc.find("\"workload\":\"164.gzip\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"workload_scale\":0.25"), std::string::npos);
-    EXPECT_NE(doc.find("\"perf\":{"), std::string::npos);
-    EXPECT_NE(doc.find("\"mode.functional_fast\""), std::string::npos);
-    EXPECT_NE(doc.find("\"mips\":4"), std::string::npos);
     EXPECT_NE(doc.find("\"stats\":{"), std::string::npos);
+
+    // "perf": the four engine modes, in SimMode order, each with
+    // calls/ops/seconds/mips; the run mode's counts are exact.
+    JsonValue parsed;
+    std::string err;
+    ASSERT_TRUE(parseJson(doc, parsed, &err)) << err;
+    const JsonValue *perf = parsed.get("perf");
+    ASSERT_NE(perf, nullptr);
+    const char *const keys[] = {
+        "mode.functional_fast", "mode.functional_warm",
+        "mode.detailed_warm", "mode.detailed_measure"};
+    ASSERT_EQ(perf->object.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(perf->object[i].first, keys[i]);
+        const JsonValue &row = perf->object[i].second;
+        ASSERT_EQ(row.object.size(), 4u);
+        EXPECT_EQ(row.object[0].first, "calls");
+        EXPECT_EQ(row.object[1].first, "ops");
+        EXPECT_EQ(row.object[2].first, "seconds");
+        EXPECT_EQ(row.object[3].first, "mips");
+        const bool run_mode = i == 1;
+        EXPECT_EQ(row.get("calls")->asUint(),
+                  before[i].calls + (run_mode ? 1 : 0));
+        EXPECT_EQ(row.get("ops")->asUint(),
+                  before[i].ops + (run_mode ? ran : 0));
+    }
+    EXPECT_GT(perf->get("mode.functional_warm")->get("seconds")->number,
+              0.0);
 }
 
 TEST(ObsReport, MetaLastWritePerKeyWins)

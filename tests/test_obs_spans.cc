@@ -3,7 +3,8 @@
  * Span-profiler tests: ring wrap/overflow accounting, self-vs-total
  * nesting arithmetic under an injected deterministic clock, category
  * aggregation, multi-thread interleaving under util::ThreadPool (the
- * TSan job exercises this), the cheap-when-off guarantee, overhead
+ * TSan job exercises this), always-on site totals with no profiler
+ * installed, the inert-when-off recording path, overhead
  * calibration, and both sinks — trace_event JSON validity plus an
  * exact golden-file comparison, and the "profile" report section.
  */
@@ -31,6 +32,7 @@ using pgss::obs::SpanCat;
 using pgss::obs::SpanProfiler;
 using pgss::obs::SpanProfilerConfig;
 using pgss::obs::SpanRecord;
+using pgss::obs::SpanSite;
 
 namespace
 {
@@ -125,10 +127,10 @@ TEST(ObsSpans, NestedSpansSplitSelfAndTotal)
 
     g_fake_now = 1'000;
     {
-        ScopedSpan outer("outer", SpanCat::Bench);
+        PGSS_SPAN_NAMED(outer, "outer", Bench);
         g_fake_now = 2'000;
         {
-            ScopedSpan inner("inner", SpanCat::Io);
+            PGSS_SPAN_NAMED(inner, "inner", Io);
             inner.addOps(500);
             g_fake_now = 2'500;
         }
@@ -158,10 +160,10 @@ TEST(ObsSpans, ProfileSectionAggregatesFlatTreeAndCategories)
     SpanProfiler *prof = installFakeClockProfiler();
 
     for (int i = 0; i < 3; ++i) {
-        ScopedSpan outer("outer", SpanCat::Bench);
+        PGSS_SPAN_NAMED(outer, "outer", Bench);
         g_fake_now += 100;
         {
-            ScopedSpan inner("inner", SpanCat::Ff);
+            PGSS_SPAN_NAMED(inner, "inner", Ff);
             g_fake_now += 900;
         }
     }
@@ -224,7 +226,7 @@ TEST(ObsSpans, MultiThreadSpansLandInPerThreadBuffers)
                 while (started.load() < kWorkers) {
                 }
                 for (std::size_t i = 0; i < kSpansPer; ++i) {
-                    ScopedSpan span("worker.task", SpanCat::Bench);
+                    PGSS_SPAN_NAMED(span, "worker.task", Bench);
                     span.addOps(10);
                 }
             });
@@ -262,16 +264,42 @@ TEST(ObsSpans, MultiThreadSpansLandInPerThreadBuffers)
     EXPECT_EQ(complete, kTasks);
 }
 
+TEST(ObsSpans, SiteTotalsAreExactAcrossThreadsWithoutProfiler)
+{
+    // The totals behind the report's "perf" section: kept with no
+    // profiler installed, and exact when pool workers share a site.
+    pgss::obs::setSpanProfiler(nullptr);
+    static SpanSite site("pool.task", SpanCat::Bench);
+    constexpr std::size_t kWorkers = 4;
+    constexpr std::size_t kSpansPer = 1000;
+    {
+        pgss::util::ThreadPool pool(kWorkers);
+        for (std::size_t w = 0; w < kWorkers; ++w)
+            pool.submit([] {
+                for (std::size_t i = 0; i < kSpansPer; ++i) {
+                    ScopedSpan span(site);
+                    EXPECT_FALSE(span.active());
+                    span.addOps(7);
+                }
+            });
+        pool.wait();
+    }
+    EXPECT_EQ(site.calls(), kWorkers * kSpansPer);
+    EXPECT_EQ(site.ops(), 7 * kWorkers * kSpansPer);
+    EXPECT_GT(site.ns(), 0u);
+    EXPECT_EQ(pgss::obs::spanProfiler(), nullptr);
+}
+
 TEST(ObsSpans, ReinstalledProfilerGetsFreshThreadBuffers)
 {
     ProfilerGuard guard;
     installFakeClockProfiler();
-    { ScopedSpan s("first", SpanCat::Other); }
+    { PGSS_SPAN_NAMED(s, "first", Other); }
 
     // A second profiler may land at the same address; the instance id
     // in the thread cache must force re-registration, not aliasing.
     SpanProfiler *second = installFakeClockProfiler();
-    { ScopedSpan s("second", SpanCat::Other); }
+    { PGSS_SPAN_NAMED(s, "second", Other); }
     ASSERT_EQ(second->buffers().size(), 1u);
     const std::vector<SpanRecord> recs =
         second->buffers().at(0)->records();
@@ -282,7 +310,7 @@ TEST(ObsSpans, ReinstalledProfilerGetsFreshThreadBuffers)
 TEST(ObsSpans, DisabledSpansAreInertAndSafe)
 {
     pgss::obs::setSpanProfiler(nullptr);
-    ScopedSpan span("off", SpanCat::Other);
+    PGSS_SPAN_NAMED(span, "off", Other);
     EXPECT_FALSE(span.active());
     span.addOps(123); // must not crash or allocate a buffer
 }
@@ -303,7 +331,7 @@ TEST(ObsSpans, TraceEventJsonMatchesGolden)
 
     g_fake_now = 1'000;
     {
-        ScopedSpan outer("outer", SpanCat::Bench);
+        PGSS_SPAN_NAMED(outer, "outer", Bench);
         g_fake_now = 2'000;
         {
             PGSS_SPAN_NAMED(inner, "inner", Io);
@@ -330,7 +358,7 @@ TEST(ObsSpans, RingWrapEmitsTruncationMarker)
     SpanProfiler *prof = installFakeClockProfiler(16);
 
     for (int i = 0; i < 40; ++i) {
-        ScopedSpan span("tick", SpanCat::Other);
+        PGSS_SPAN_NAMED(span, "tick", Other);
         g_fake_now += 10;
     }
 

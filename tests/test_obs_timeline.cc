@@ -284,13 +284,14 @@ TEST(TimelinePgssTest, CurvesNarrowAndCloseDeterministically)
         }
         // Once enough samples accumulate the relative CI must have
         // narrowed below its n=2 starting point for a closed curve.
-        if (pts.back().closed && pts.back().samples >= 4)
+        if (pts.back().closed && pts.back().samples >= 4) {
             EXPECT_LT(pts.back().ci_rel, 1.0);
+        }
     }
 
     // Determinism: the fixed jitter seed reproduces identical phase
     // timelines and convergence curves. Counter rows are excluded:
-    // they snapshot the process-global perf registry, which keeps
+    // they snapshot the process-global engine span totals, which keep
     // accumulating across the two runs.
     const auto sampling_rows = [](TimelineRecorder &r) {
         std::ostringstream csv;

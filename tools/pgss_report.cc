@@ -1,7 +1,7 @@
 /**
  * @file
- * pgss_report — offline analysis of run-report JSON and trace JSONL
- * artefacts produced by the observability layer (DESIGN.md section 8).
+ * pgss_report — offline analysis of run-report JSON artefacts
+ * produced by the observability layer (DESIGN.md section 8).
  *
  *   pgss_report show report.json          render tables + timelines
  *   pgss_report report.json               same ("show" is the default)
@@ -16,8 +16,7 @@
  *                                         GET /metrics, for pushing
  *                                         finished-run results at a
  *                                         textfile collector
- *   pgss_report check report.json [trace.jsonl]
- *                                         sanity checks; exit 1 on any
+ *   pgss_report check report.json         sanity checks; exit 1 on any
  *                                         violation (the CI gate)
  *     --baseline=BENCH.json [--tolerance=0.25]
  *                                         also gate perf.*.mips
@@ -56,7 +55,7 @@ usage()
         << "       pgss_report profile <report.json> [--top=N]\n"
         << "       pgss_report profile <a.json> <b.json>\n"
         << "       pgss_report metrics <report.json>\n"
-        << "       pgss_report check <report.json> [trace.jsonl]\n"
+        << "       pgss_report check <report.json>\n"
         << "                   [--baseline=<bench.json>]"
            " [--tolerance=<frac>]\n"
         << "       pgss_report findings <findings.json>\n";
@@ -149,7 +148,6 @@ cmdMetrics(const std::string &path)
 
 int
 cmdCheck(const std::string &report_path,
-         const std::string &trace_path,
          const std::string &baseline_path, double tolerance)
 {
     LoadedReport report;
@@ -166,19 +164,6 @@ cmdCheck(const std::string &report_path,
             report, baseline, tolerance);
         printCheck("baseline", bres);
         total.merge(bres);
-    }
-
-    if (!trace_path.empty()) {
-        std::ifstream trace(trace_path, std::ios::binary);
-        if (!trace) {
-            std::cerr << "pgss_report: cannot open '" << trace_path
-                      << "'\n";
-            return 1;
-        }
-        const CheckResult tres = pgss::obs::checkTrace(trace);
-        printCheck("trace", tres);
-        std::cout << tres.trace_events << " trace events checked\n";
-        total.merge(tres);
     }
 
     if (!total.ok()) {
@@ -298,10 +283,9 @@ main(int argc, char **argv)
         std::string baseline, tolerance = "0.25";
         takeOption(args, "baseline", baseline);
         takeOption(args, "tolerance", tolerance);
-        if (args.size() < 2 || args.size() > 3)
+        if (args.size() != 2)
             return usage();
-        return cmdCheck(args[1], args.size() == 3 ? args[2] : "",
-                        baseline,
+        return cmdCheck(args[1], baseline,
                         std::strtod(tolerance.c_str(), nullptr));
     }
     if (args[0] == "findings")
