@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
+#include <utility>
 
 #include "obs/spans.hh"
 #include "util/atomic_file.hh"
@@ -90,24 +91,23 @@ serializeProfile(const IntervalProfile &p)
         w.putDoubleVec(p.bbvRaw(i));
     }
     w.putSectionCrc(); // intervals
-    return w.bytes();
+    return std::move(w).bytes();
 }
 
 IntervalProfile
-deserializeProfile(const std::vector<std::uint8_t> &data, bool &ok)
+deserializeProfile(std::vector<std::uint8_t> data, bool &ok)
 {
     util::ReadError err;
-    IntervalProfile p = deserializeProfile(data, err);
+    IntervalProfile p = deserializeProfile(std::move(data), err);
     ok = err == util::ReadError::None;
     return p;
 }
 
 IntervalProfile
-deserializeProfile(const std::vector<std::uint8_t> &data,
-                   util::ReadError &err)
+deserializeProfile(std::vector<std::uint8_t> data, util::ReadError &err)
 {
     IntervalProfile p;
-    util::BinaryReader r(data, profile_magic, profile_version);
+    util::BinaryReader r(std::move(data), profile_magic, profile_version);
     if (!r.ok()) {
         err = r.error();
         return p;
@@ -163,7 +163,7 @@ ProfileCache::loadOrBuild(const isa::Program &program,
             // exercises exactly the path a flipped bit on disk takes.
             cache_read.corrupt(bytes);
             util::ReadError err;
-            IntervalProfile p = deserializeProfile(bytes, err);
+            IntervalProfile p = deserializeProfile(std::move(bytes), err);
             if (err == util::ReadError::None) {
                 util::verbose("profile cache hit: %s", path.c_str());
                 return p;

@@ -48,16 +48,16 @@ std::vector<std::uint8_t> serializeProfile(const IntervalProfile &p);
 
 /** Deserialize; @p ok reports malformed input. */
 IntervalProfile
-deserializeProfile(const std::vector<std::uint8_t> &data, bool &ok);
+deserializeProfile(std::vector<std::uint8_t> data, bool &ok);
 
 /**
  * Deserialize with failure classification: Stale for a previous
  * format version (silent rebuild), Corrupt for damage (the cache file
- * gets quarantined by loadOrBuild).
+ * gets quarantined by loadOrBuild). Takes @p data by value: move a
+ * loaded file in to decode it without a copy.
  */
 IntervalProfile
-deserializeProfile(const std::vector<std::uint8_t> &data,
-                   util::ReadError &err);
+deserializeProfile(std::vector<std::uint8_t> data, util::ReadError &err);
 
 } // namespace pgss::analysis
 

@@ -1,6 +1,7 @@
 #include "sim/checkpoint.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "mem/main_memory.hh"
 #include "obs/spans.hh"
@@ -112,24 +113,24 @@ Checkpoint::serialize() const
     w.putU64Vec(branch_.btb.targets);
     w.putU8Vec(branch_.btb.valid);
     w.putSectionCrc(); // branch
-    return w.bytes();
+    return std::move(w).bytes();
 }
 
 Checkpoint
-Checkpoint::deserialize(const std::vector<std::uint8_t> &data, bool &ok)
+Checkpoint::deserialize(std::vector<std::uint8_t> data, bool &ok)
 {
     util::ReadError err;
-    Checkpoint c = deserialize(data, err);
+    Checkpoint c = deserialize(std::move(data), err);
     ok = err == util::ReadError::None;
     return c;
 }
 
 Checkpoint
-Checkpoint::deserialize(const std::vector<std::uint8_t> &data,
+Checkpoint::deserialize(std::vector<std::uint8_t> data,
                         util::ReadError &err)
 {
     Checkpoint c;
-    util::BinaryReader r(data, ckpt_magic, ckpt_version);
+    util::BinaryReader r(std::move(data), ckpt_magic, ckpt_version);
     if (!r.ok()) {
         err = r.error();
         return c;

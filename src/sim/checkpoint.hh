@@ -49,15 +49,17 @@ class Checkpoint
      * Rebuild from serialized bytes.
      * @param[out] ok false when the blob is malformed.
      */
-    static Checkpoint deserialize(const std::vector<std::uint8_t> &data,
+    static Checkpoint deserialize(std::vector<std::uint8_t> data,
                                   bool &ok);
 
     /**
      * Rebuild from serialized bytes, classifying failures: Stale for
      * a previous format version (rebuild, don't quarantine), Corrupt
      * for damage (bad magic, truncation, section CRC mismatch).
+     * Takes @p data by value: move a loaded file in to decode it
+     * without a copy.
      */
-    static Checkpoint deserialize(const std::vector<std::uint8_t> &data,
+    static Checkpoint deserialize(std::vector<std::uint8_t> data,
                                   util::ReadError &err);
 
     /** Total instructions retired at capture time. */

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <utility>
 
 #include "obs/spans.hh"
 #include "util/atomic_file.hh"
@@ -234,7 +235,7 @@ CheckpointLibrary::loadFile(std::size_t index, Checkpoint *out) const
     // it exercises exactly the path a flipped bit on disk would take.
     ckpt_read.corrupt(bytes);
     util::ReadError err;
-    *out = Checkpoint::deserialize(bytes, err);
+    *out = Checkpoint::deserialize(std::move(bytes), err);
     if (err == util::ReadError::None)
         return true;
     ++util::fi::counter("ckpt.load_failed");

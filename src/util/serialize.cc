@@ -1,5 +1,6 @@
 #include "util/serialize.hh"
 
+#include <bit>
 #include <cstring>
 
 #include "util/atomic_file.hh"
@@ -7,6 +8,12 @@
 
 namespace pgss::util
 {
+
+// The wire format is little-endian and integers and vectors are
+// copied to and from it with memcpy, so only little-endian hosts can
+// read or write it.
+static_assert(std::endian::native == std::endian::little,
+              "util/serialize encodes by memcpy on little-endian hosts");
 
 BinaryWriter::BinaryWriter(std::uint32_t magic, std::uint32_t version)
 {
@@ -21,17 +28,22 @@ BinaryWriter::putU8(std::uint8_t v)
 }
 
 void
+BinaryWriter::append(const void *data, std::size_t n)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    buf_.insert(buf_.end(), p, p + n);
+}
+
+void
 BinaryWriter::putU32(std::uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    append(&v, sizeof(v));
 }
 
 void
 BinaryWriter::putU64(std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    append(&v, sizeof(v));
 }
 
 void
@@ -59,16 +71,14 @@ void
 BinaryWriter::putDoubleVec(const std::vector<double> &v)
 {
     putU64(v.size());
-    for (double d : v)
-        putDouble(d);
+    append(v.data(), v.size() * sizeof(double));
 }
 
 void
 BinaryWriter::putU64Vec(const std::vector<std::uint64_t> &v)
 {
     putU64(v.size());
-    for (std::uint64_t u : v)
-        putU64(u);
+    append(v.data(), v.size() * sizeof(std::uint64_t));
 }
 
 void
@@ -147,22 +157,22 @@ BinaryReader::getU8()
 std::uint32_t
 BinaryReader::getU32()
 {
-    if (!need(4))
-        return 0;
     std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(buf_[pos_++]) << (8 * i);
+    if (need(sizeof(v))) {
+        std::memcpy(&v, buf_.data() + pos_, sizeof(v));
+        pos_ += sizeof(v);
+    }
     return v;
 }
 
 std::uint64_t
 BinaryReader::getU64()
 {
-    if (!need(8))
-        return 0;
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(buf_[pos_++]) << (8 * i);
+    if (need(sizeof(v))) {
+        std::memcpy(&v, buf_.data() + pos_, sizeof(v));
+        pos_ += sizeof(v);
+    }
     return v;
 }
 
@@ -198,36 +208,38 @@ BinaryReader::getString()
     return s;
 }
 
-std::vector<double>
-BinaryReader::getDoubleVec()
+template <typename T>
+std::vector<T>
+BinaryReader::getVec()
 {
-    std::uint64_t n = getU64();
-    std::vector<double> v;
-    // Validate against remaining bytes before reserving: `n * 8` can
-    // wrap for a corrupt count and would pass a naive bound check.
-    if (!ok() || n > (buf_.size() - pos_) / 8) {
+    const std::uint64_t n = getU64();
+    std::vector<T> v;
+    // Validate against remaining bytes before allocating:
+    // `n * sizeof(T)` can wrap for a corrupt count and would pass a
+    // naive bound check.
+    if (!ok() || n > (buf_.size() - pos_) / sizeof(T)) {
         markCorrupt();
         return v;
     }
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(getDouble());
+    const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(T);
+    if (bytes != 0) {
+        v.resize(static_cast<std::size_t>(n));
+        std::memcpy(v.data(), buf_.data() + pos_, bytes);
+        pos_ += bytes;
+    }
     return v;
+}
+
+std::vector<double>
+BinaryReader::getDoubleVec()
+{
+    return getVec<double>();
 }
 
 std::vector<std::uint64_t>
 BinaryReader::getU64Vec()
 {
-    std::uint64_t n = getU64();
-    std::vector<std::uint64_t> v;
-    if (!ok() || n > (buf_.size() - pos_) / 8) {
-        markCorrupt();
-        return v;
-    }
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(getU64());
-    return v;
+    return getVec<std::uint64_t>();
 }
 
 std::vector<std::uint8_t>

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pgss::util
@@ -58,7 +59,10 @@ class BinaryWriter
     void putSectionCrc();
 
     /** The encoded bytes (header included). */
-    const std::vector<std::uint8_t> &bytes() const { return buf_; }
+    const std::vector<std::uint8_t> &bytes() const & { return buf_; }
+
+    /** Move the encoded bytes out of a writer that is done. */
+    std::vector<std::uint8_t> bytes() && { return std::move(buf_); }
 
     /**
      * Write the encoded bytes to @p path atomically (temp file +
@@ -70,6 +74,8 @@ class BinaryWriter
                    FileSites *sites = nullptr) const;
 
   private:
+    void append(const void *data, std::size_t n);
+
     std::vector<std::uint8_t> buf_;
     std::size_t section_start_ = 0;
 };
@@ -121,6 +127,8 @@ class BinaryReader
 
   private:
     bool need(std::size_t n);
+    /** A count-prefixed vector of trivially copyable @p T. */
+    template <typename T> std::vector<T> getVec();
     void markCorrupt() { error_ = ReadError::Corrupt; }
 
     std::vector<std::uint8_t> buf_;

@@ -1,6 +1,9 @@
 /** @file Tests for the binary serialization layer. */
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -122,4 +125,117 @@ TEST(Serialize, MissingFileReportsNotOk)
     BinaryReader r = BinaryReader::fromFile(
         "/nonexistent/path/nowhere.bin", magic, version);
     EXPECT_FALSE(r.ok());
+}
+
+namespace
+{
+
+std::string
+hex(const std::vector<std::uint8_t> &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string s;
+    for (std::uint8_t b : bytes) {
+        s += digits[b >> 4];
+        s += digits[b & 0xf];
+    }
+    return s;
+}
+
+} // namespace
+
+TEST(Serialize, WireFormatIsPinned)
+{
+    // Every checkpoint, library and profile file ever written is in
+    // this encoding: a codec change that moves one byte (or one CRC)
+    // makes old artifacts Corrupt. The literal was recorded from the
+    // byte-at-a-time codec.
+    BinaryWriter w(magic, version);
+    w.putU8(0xab);
+    w.putU64Vec({1, 0x0102030405060708ull, ~0ull});
+    w.putU8Vec({0xde, 0xad, 0xbe});
+    w.putDoubleVec({1.5, -0.0});
+    w.putSectionCrc();
+    EXPECT_EQ(hex(w.bytes()),
+              "5453455403000000"                   // magic, version
+              "ab"                                 // U8
+              "0300000000000000"                   // U64Vec count
+              "0100000000000000"
+              "0807060504030201"
+              "ffffffffffffffff"
+              "0300000000000000" "deadbe"          // U8Vec
+              "0200000000000000"                   // DoubleVec count
+              "000000000000f83f"                   // 1.5
+              "0000000000000080"                   // -0.0
+              "1c209330");                         // section CRC
+}
+
+TEST(Serialize, BulkVectorsRoundTripUnaligned)
+{
+    for (std::size_t n : {0u, 1u, 1000u}) {
+        std::vector<std::uint64_t> u(n);
+        std::vector<double> d(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            u[i] = 0x9e3779b97f4a7c15ull * (i + 1);
+            d[i] = static_cast<double>(i) * -0.37 + 1e-300;
+        }
+        BinaryWriter w(magic, version);
+        w.putU8(7); // every element below starts at an odd offset
+        w.putU64Vec(u);
+        w.putDoubleVec(d);
+        w.putSectionCrc();
+
+        BinaryReader r(w.bytes(), magic, version);
+        EXPECT_EQ(r.getU8(), 7);
+        EXPECT_EQ(r.getU64Vec(), u) << n;
+        EXPECT_EQ(r.getDoubleVec(), d) << n;
+        EXPECT_TRUE(r.checkSectionCrc());
+        EXPECT_TRUE(r.atEnd());
+    }
+}
+
+TEST(Serialize, HugeVectorCountIsCorruptWithoutAllocating)
+{
+    // count * 8 wraps to a small number near 2^61, so only a check
+    // against the remaining bytes stops a 2^64-byte allocation.
+    const std::uint64_t counts[] = {1ull << 61, (1ull << 61) + 1,
+                                    (1ull << 61) - 1, ~0ull};
+    for (std::uint64_t count : counts) {
+        BinaryWriter w(magic, version);
+        w.putU64(count);
+        w.putU64(0);
+        BinaryReader ru(w.bytes(), magic, version);
+        std::vector<std::uint64_t> u;
+        EXPECT_NO_THROW(u = ru.getU64Vec());
+        EXPECT_TRUE(u.empty());
+        EXPECT_EQ(ru.error(), pgss::util::ReadError::Corrupt);
+
+        BinaryReader rd(w.bytes(), magic, version);
+        std::vector<double> d;
+        EXPECT_NO_THROW(d = rd.getDoubleVec());
+        EXPECT_TRUE(d.empty());
+        EXPECT_EQ(rd.error(), pgss::util::ReadError::Corrupt);
+    }
+}
+
+TEST(Serialize, FlipInsideBulkVectorFailsSectionCrc)
+{
+    BinaryWriter w(magic, version);
+    w.putU64Vec({11, 22, 33});
+    w.putDoubleVec({0.5, -8.25});
+    w.putSectionCrc();
+    const std::vector<std::uint8_t> clean = w.bytes();
+    // Element payloads: U64Vec's at [16, 40), DoubleVec's at [48, 64).
+    for (std::size_t at = 16; at < 64; ++at) {
+        if (at >= 40 && at < 48)
+            continue; // DoubleVec count: decodes as Corrupt itself
+        std::vector<std::uint8_t> bytes = clean;
+        bytes[at] ^= 0x10;
+        BinaryReader r(bytes, magic, version);
+        EXPECT_EQ(r.getU64Vec().size(), 3u);
+        EXPECT_EQ(r.getDoubleVec().size(), 2u);
+        EXPECT_TRUE(r.ok()) << at;
+        EXPECT_FALSE(r.checkSectionCrc()) << at;
+        EXPECT_EQ(r.error(), pgss::util::ReadError::Corrupt) << at;
+    }
 }
