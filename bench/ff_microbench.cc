@@ -15,6 +15,12 @@
  * against the FastOp loop with warm hooks. Their work adds cache and
  * predictor warming, identical across the pair.
  *
+ * The last two run DetailedMeasure with hashed BBV on, as a
+ * ground-truth profile build does: step() records fed to
+ * InOrderPipeline::consume() against the FastOp loop driving the
+ * staged pipeline through its detailed hooks. Their work adds the
+ * timing model, again identical across the pair.
+ *
  * Since architectural work is identical within each table, the ops/s
  * deltas are pure dispatch cost. Best-of-3 per variant: the numbers
  * feed perf-smoke CI, where run-to-run noise on shared runners is
@@ -103,7 +109,7 @@ main(int argc, char **argv)
         workload::buildWorkload("164.gzip", 0.05);
 
     // Enough ops that dispatch dominates timer noise, small enough
-    // for a CI smoke step (4 variants x 3 reps x 4M ops).
+    // for a CI smoke step (6 variants x 3 reps x 4M ops).
     const std::uint64_t total_ops = 4'000'000;
 
     const std::vector<Variant> fast = {
@@ -113,6 +119,10 @@ main(int argc, char **argv)
     const std::vector<Variant> warm = {
         {"warm-step", false, sim::SimMode::FunctionalWarm, true},
         {"warm-fastop", true, sim::SimMode::FunctionalWarm, true},
+    };
+    const std::vector<Variant> detailed = {
+        {"detailed-step", false, sim::SimMode::DetailedMeasure, true},
+        {"detailed-fastop", true, sim::SimMode::DetailedMeasure, true},
     };
 
     const auto table = [&](const char *title,
@@ -133,11 +143,14 @@ main(int argc, char **argv)
     std::printf("\n");
     table("warm dispatch cost (164.gzip, FunctionalWarm, hashed BBV)",
           warm);
+    std::printf("\n");
+    table("detailed dispatch cost (DetailedMeasure, hashed BBV)",
+          detailed);
 
     std::printf("\nexpected shape: fastop removes per-instruction "
-                "decode and the DynInst\nrecord. In warm mode cache "
-                "and predictor warming, the same in both rows,\n"
-                "bound the gain.\n");
+                "decode and the DynInst\nrecord. In warm and detailed "
+                "mode cache and predictor work, and the\ntiming "
+                "model, the same in both rows, bound the gain.\n");
     bench::finish();
     return 0;
 }

@@ -5,8 +5,11 @@
  * the smallest complete use of the library:
  *
  *   1. workload::buildWorkload() -> a runnable program
- *   2. analysis::buildIntervalProfile() -> ground truth (optional;
- *      only needed to score the estimate)
+ *   2. analysis::ProfileCache::loadOrBuild() -> ground truth
+ *      (optional; only needed to score the estimate). The first run
+ *      builds it with a full detailed simulation and caches it under
+ *      ./pgss_profile_cache (PGSS_PROFILE_CACHE overrides); later runs
+ *      load it.
  *   3. core::PgssController::run() over a sim::SimulationEngine
  *
  * Usage: quickstart [workload] [scale]
@@ -17,7 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "analysis/interval_profile.hh"
+#include "analysis/profile_cache.hh"
 #include "core/pgss_controller.hh"
 #include "obs/report.hh"
 #include "obs/stats.hh"
@@ -47,9 +50,10 @@ main(int argc, char **argv)
                 built.program.data_bytes / 1048576.0);
 
     // 2. Ground truth: a full detailed simulation (this is the slow
-    //    thing sampled simulation exists to avoid).
+    //    thing sampled simulation exists to avoid), built once and
+    //    cached, as the bench binaries load it.
     const analysis::IntervalProfile profile =
-        analysis::buildIntervalProfile(built.program);
+        analysis::ProfileCache().loadOrBuild(built.program);
     std::printf("ground truth: %.3f IPC over %llu cycles\n",
                 profile.trueIpc(),
                 static_cast<unsigned long long>(

@@ -2,23 +2,25 @@
  * @file
  * The functional simulator: interprets pre-decoded instructions and
  * maintains the architectural state (register file, PC, data memory).
- * This is the always-on layer; fast-forwarding runs it alone, detailed
- * modes feed its retired-instruction records into the timing model.
+ * This is the always-on layer; fast-forwarding runs it alone, warming
+ * and detailed modes attach cache, predictor and timing work to it
+ * through compile-time hooks.
  *
  * Two execution paths share the architectural state:
  *
- *  - step(): execute one instruction and fill a DynInst record with
- *    everything the timing model consumes. Used by the detailed
- *    modes, and as the differential-testing oracle for the fast path.
  *  - runFast()/runFastWith(): batched execution over a flat
  *    pre-decoded table (operands, immediates, and per-op behaviour
  *    resolved once at table build). No DynInst is populated. The side
  *    channels are a taken-branch callback (all BBV tracking needs) and
- *    optional compile-time warm hooks (I-fetch, data access, branch
- *    outcome) for functional warming. Both fast-forward modes run
- *    here: FunctionalFast without hooks, FunctionalWarm with them. A
- *    PGSS run spends ~99% of its host time in the warm instantiation
- *    (DESIGN.md section 9.5).
+ *    optional compile-time hooks (I-fetch, data access, branch
+ *    outcome, retirement). All four engine modes run here:
+ *    FunctionalFast without hooks, FunctionalWarm with warming hooks,
+ *    and the two detailed modes with hooks that drive the timing
+ *    pipeline. A PGSS run spends ~99% of its host time in the warm
+ *    instantiation (DESIGN.md section 9.5).
+ *  - step(): execute one instruction and fill a DynInst record with
+ *    everything the timing model consumes. It is the differential-
+ *    testing oracle for the fast path, in every mode.
  */
 
 #ifndef PGSS_CPU_FUNCTIONAL_CORE_HH
@@ -106,12 +108,15 @@ class BbvSink
 };
 
 /**
- * Warm hooks for runFastWith(): the no-op set FunctionalFast runs
- * with. A warming consumer supplies a type with the same four members;
- * per op the loop calls fetch(pc) first, then data() for a load or
- * store, then branch() or jump() for a control transfer — the order
- * the step() warm loop warms in, which matters because the L1I and
- * L1D share the L2.
+ * Hooks for runFastWith(): the no-op set FunctionalFast runs with. A
+ * warming or timing consumer supplies a type with the same five
+ * members. Per op the loop calls fetch(pc) first, then data() for a
+ * load or store, then branch() or jump() for a control transfer, then
+ * retire() once the op has executed. That is the order of the cache
+ * and predictor accesses in the step() warm loop and in
+ * timing::InOrderPipeline::consume(), which matters because the L1I
+ * and L1D share the L2. Classify jumps from program().code[pc], never
+ * from the FastOp: its rd is remapped when it names r0.
  */
 struct NoWarm
 {
@@ -123,6 +128,8 @@ struct NoWarm
     void branch(std::uint64_t, bool, std::uint64_t) {}
     /** Jal/Jalr at @p pc transferred to @p next_pc. */
     void jump(std::uint64_t, std::uint64_t) {}
+    /** The op announced by the last fetch() has executed. */
+    void retire() {}
 };
 
 /**
@@ -174,8 +181,9 @@ class FunctionalCore
 
     /**
      * The fast-path loop itself, templated over the taken-branch
-     * callback and the warm hooks, so engine-level consumers (the BBV
-     * trackers, cache and predictor warming) get fully inlined calls
+     * callback and the hooks, so engine-level consumers (the BBV
+     * trackers, cache and predictor warming, the timing pipeline) get
+     * fully inlined calls
      * instead of a virtual dispatch — runFast() is a thin wrapper over
      * this. Defined at the bottom of this header, and never inlined
      * into its caller: inlining the FunctionalFast instantiations
@@ -185,13 +193,13 @@ class FunctionalCore
      *        retired since the last taken control transfer.
      * @param on_taken invoked as on_taken(branch_addr, ops_since_last)
      *        for every taken transfer.
-     * @param warm warm hooks (see NoWarm for the contract).
+     * @param hooks per-op hooks (see NoWarm for the contract).
      * @return instructions retired (0 when already halted).
      */
-    template <typename OnTaken, typename Warm = NoWarm>
+    template <typename OnTaken, typename Hooks = NoWarm>
     [[gnu::noinline]] std::uint64_t
     runFastWith(std::uint64_t n, std::uint64_t &ops_since_taken,
-                OnTaken &&on_taken, Warm &&warm = Warm{});
+                OnTaken &&on_taken, Hooks &&hooks = Hooks{});
 
     /** True after Halt has retired. */
     bool halted() const { return halted_; }
@@ -248,11 +256,11 @@ class FunctionalCore
     std::vector<FastOp> fast_table_; ///< built lazily by runFast()
 };
 
-template <typename OnTaken, typename Warm>
+template <typename OnTaken, typename Hooks>
 std::uint64_t
 FunctionalCore::runFastWith(std::uint64_t n,
                             std::uint64_t &ops_since_taken,
-                            OnTaken &&on_taken, Warm &&warm)
+                            OnTaken &&on_taken, Hooks &&hooks)
 {
     using isa::Opcode;
 
@@ -282,7 +290,7 @@ FunctionalCore::runFastWith(std::uint64_t n,
         util::panicIf(pc >= code_size,
                       "PC ran off the end of the program");
         const FastOp &f = table[pc];
-        warm.fetch(pc);
+        hooks.fetch(pc);
         const std::uint64_t a = regs[f.rs1];
         const std::uint64_t b = regs[f.rs2];
         std::uint64_t next = pc + 1;
@@ -363,7 +371,7 @@ FunctionalCore::runFastWith(std::uint64_t n,
             util::panicIf((addr & 7) != 0, "unaligned memory read");
             const std::uint64_t w = addr >> 3;
             util::panicIf(w >= mem_words, "memory read out of range");
-            warm.data(addr, false);
+            hooks.data(addr, false);
             regs[f.rd] = mem[w];
             break;
           }
@@ -374,7 +382,7 @@ FunctionalCore::runFastWith(std::uint64_t n,
             const std::uint64_t w = addr >> 3;
             util::panicIf(w >= mem_words,
                           "memory write out of range");
-            warm.data(addr, true);
+            hooks.data(addr, true);
             mem[w] = b;
             page_dirty[w >> mem::MainMemory::page_shift] = 1;
             break;
@@ -384,14 +392,14 @@ FunctionalCore::runFastWith(std::uint64_t n,
                 taken = true;
                 next = static_cast<std::uint64_t>(f.imm);
             }
-            warm.branch(pc, taken, next);
+            hooks.branch(pc, taken, next);
             break;
           case Opcode::Bne:
             if (a != b) {
                 taken = true;
                 next = static_cast<std::uint64_t>(f.imm);
             }
-            warm.branch(pc, taken, next);
+            hooks.branch(pc, taken, next);
             break;
           case Opcode::Blt:
             if (static_cast<std::int64_t>(a) <
@@ -399,7 +407,7 @@ FunctionalCore::runFastWith(std::uint64_t n,
                 taken = true;
                 next = static_cast<std::uint64_t>(f.imm);
             }
-            warm.branch(pc, taken, next);
+            hooks.branch(pc, taken, next);
             break;
           case Opcode::Bge:
             if (static_cast<std::int64_t>(a) >=
@@ -407,19 +415,19 @@ FunctionalCore::runFastWith(std::uint64_t n,
                 taken = true;
                 next = static_cast<std::uint64_t>(f.imm);
             }
-            warm.branch(pc, taken, next);
+            hooks.branch(pc, taken, next);
             break;
           case Opcode::Jal:
             regs[f.rd] = pc + 1;
             taken = true;
             next = static_cast<std::uint64_t>(f.imm);
-            warm.jump(pc, next);
+            hooks.jump(pc, next);
             break;
           case Opcode::Jalr:
             regs[f.rd] = pc + 1;
             taken = true;
             next = a + static_cast<std::uint64_t>(f.imm);
-            warm.jump(pc, next);
+            hooks.jump(pc, next);
             break;
           case Opcode::Nop:
             break;
@@ -429,6 +437,7 @@ FunctionalCore::runFastWith(std::uint64_t n,
           default:
             util::panic("unhandled opcode in FunctionalCore::runFast");
         }
+        hooks.retire();
 
         ++done;
         ++since;

@@ -43,18 +43,32 @@ class CacheHierarchy
     explicit CacheHierarchy(const HierarchyConfig &config);
 
     /**
-     * Timed data access.
+     * Timed data access. The L1 hit path is inline; misses take the
+     * out-of-line route.
      * @param addr byte address.
      * @param is_write true for stores.
      * @return total access latency in cycles.
      */
-    std::uint32_t dataAccess(std::uint64_t addr, bool is_write);
+    std::uint32_t
+    dataAccess(std::uint64_t addr, bool is_write)
+    {
+        if (l1d_.touchIfHit(addr, is_write))
+            return config_.l1_latency;
+        return dataAccessMiss(addr, is_write);
+    }
 
     /**
-     * Timed instruction fetch of the line containing @p addr.
+     * Timed instruction fetch of the line containing @p addr (inline
+     * L1 hit path).
      * @return extra fetch latency in cycles (0 on an L1I hit).
      */
-    std::uint32_t instFetch(std::uint64_t addr);
+    std::uint32_t
+    instFetch(std::uint64_t addr)
+    {
+        if (l1i_.touchIfHit(addr, false))
+            return 0;
+        return instFetchMiss(addr);
+    }
 
     /**
      * Untimed data access: updates tag state only. The L1 hit path is
@@ -107,6 +121,8 @@ class CacheHierarchy
     void setState(const State &st);
 
   private:
+    std::uint32_t dataAccessMiss(std::uint64_t addr, bool is_write);
+    std::uint32_t instFetchMiss(std::uint64_t addr);
     void warmDataMiss(std::uint64_t addr, bool is_write);
     void warmInstMiss(std::uint64_t addr);
 

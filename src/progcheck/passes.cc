@@ -133,11 +133,12 @@ checkDefUse(const Cfg &cfg, const ConstProp &cp, const Liveness &lv,
                 const isa::OpInfo &info = inst.info();
                 const auto flag = [&](std::uint8_t r) {
                     if (r != isa::reg_zero && uninit.test(r)) {
+                        std::string msg = "r";
+                        msg += std::to_string(r);
+                        msg += " may be read before any write "
+                               "reaches it (architecturally zero)";
                         add(report, Check::ReadBeforeWrite,
-                            Severity::Warning, pc,
-                            "r" + std::to_string(r) +
-                                " may be read before any write "
-                                "reaches it (architecturally zero)");
+                            Severity::Warning, pc, std::move(msg));
                     }
                 };
                 if (info.reads_rs1)

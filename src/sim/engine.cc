@@ -60,6 +60,7 @@ SimulationEngine::SimulationEngine(const isa::Program &program,
     branch_unit_ = std::make_unique<timing::BranchUnit>(config.branch);
     pipeline_ = std::make_unique<timing::InOrderPipeline>(
         config.pipeline, *hierarchy_, *branch_unit_);
+    op_timing_ = pipeline_->decodeProgram(program_);
 }
 
 void
@@ -100,43 +101,63 @@ SimulationEngine::trackBbv(const cpu::DynInst &rec)
     ops_since_taken_ = 0;
 }
 
-template <bool with_bbv, typename Run>
+template <bool with_bbv, typename Hooks>
 std::uint64_t
-SimulationEngine::withBbvCallback(Run &&run)
+SimulationEngine::runFastLoop(std::uint64_t n, Hooks &&hooks)
 {
-    // One callback shape per BBV configuration, shared by the FastOp
-    // loop with and without warm hooks. With BBV off the carried
+    // One callback shape per BBV configuration, shared by every
+    // instantiation of the FastOp loop. With BBV off the carried
     // ops_since_taken_ is left untouched, exactly as the step() loop
-    // leaves it. In the dominant configuration — hashed BBV only —
-    // the callback is a single inlined LUT-hash accumulate, with no
-    // virtual dispatch anywhere on the path.
+    // leaves it; otherwise it carries across chunks (by reference) so
+    // harvests match the step() path bit for bit. In the dominant
+    // configuration — hashed BBV only — the callback is a single
+    // inlined LUT-hash accumulate, with no virtual dispatch anywhere
+    // on the path.
     if constexpr (with_bbv) {
         if (hashed_bbv_enabled_ && !full_bbv_enabled_) {
             bbv::HashedBbv &hashed = hashed_bbv_;
-            return run(ops_since_taken_,
-                       [&hashed](std::uint64_t addr, std::uint64_t ops) {
-                           hashed.onTakenBranch(addr, ops);
-                       });
+            return core_->runFastWith(
+                n, ops_since_taken_,
+                [&hashed](std::uint64_t addr, std::uint64_t ops) {
+                    hashed.onTakenBranch(addr, ops);
+                },
+                hooks);
         }
         bbv::HashedBbv *hashed =
             hashed_bbv_enabled_ ? &hashed_bbv_ : nullptr;
         bbv::FullBbvCollector *full =
             full_bbv_enabled_ ? &full_bbv_ : nullptr;
-        return run(ops_since_taken_,
-                   [hashed, full](std::uint64_t addr, std::uint64_t ops) {
-                       if (hashed)
-                           hashed->onTakenBranch(addr, ops);
-                       if (full)
-                           full->onTakenBranch(addr, ops);
-                   });
+        return core_->runFastWith(
+            n, ops_since_taken_,
+            [hashed, full](std::uint64_t addr, std::uint64_t ops) {
+                if (hashed)
+                    hashed->onTakenBranch(addr, ops);
+                if (full)
+                    full->onTakenBranch(addr, ops);
+            },
+            hooks);
     } else {
         std::uint64_t since = 0;
-        return run(since, [](std::uint64_t, std::uint64_t) {});
+        return core_->runFastWith(
+            n, since, [](std::uint64_t, std::uint64_t) {}, hooks);
     }
 }
 
 namespace
 {
+
+/** Predict and train the Jal/Jalr at @p pc, classified from @p code. */
+bool
+trainJump(timing::BranchUnit &branch_unit, const isa::Instruction *code,
+          std::uint64_t pc, std::uint64_t next_pc)
+{
+    // Classified from the original instruction: the FastOp's rd is
+    // remapped when it names r0.
+    const isa::Instruction &inst = code[pc];
+    return branch_unit.trainJump(pc, next_pc,
+                                 branch_unit.isCall(inst.op, inst.rd),
+                                 branch_unit.isReturn(inst.op, inst.rs1));
+}
 
 /**
  * Functional-warming hooks for FunctionalCore::runFastWith (see
@@ -179,12 +200,56 @@ struct WarmHooks
     void
     jump(std::uint64_t pc, std::uint64_t next_pc)
     {
-        // Classified from the original instruction: the FastOp's rd
-        // is remapped when it names r0.
-        const isa::Instruction &inst = code[pc];
-        branch_unit.trainJump(pc, next_pc,
-                              branch_unit.isCall(inst.op, inst.rd),
-                              branch_unit.isReturn(inst.op, inst.rs1));
+        trainJump(branch_unit, code, pc, next_pc);
+    }
+
+    void retire() {}
+};
+
+/**
+ * Detailed-mode hooks for FunctionalCore::runFastWith: each hook is
+ * one stage of the timing pipeline, fed from the per-static-op timing
+ * table instead of a DynInst. The stages run in consume()'s order, so
+ * cycles, stall attribution and every cache and predictor access
+ * match the step() oracle.
+ */
+struct DetailedHooks
+{
+    timing::InOrderPipeline &pipeline;
+    timing::BranchUnit &branch_unit;
+    const isa::Instruction *code;
+    const timing::OpTiming *timing; ///< by instruction index
+
+    void
+    fetch(std::uint64_t pc)
+    {
+        pipeline.beginOp(pc, timing[pc]);
+    }
+
+    void
+    data(std::uint64_t addr, bool is_store)
+    {
+        pipeline.memOp(addr, is_store);
+    }
+
+    void
+    branch(std::uint64_t pc, bool taken, std::uint64_t next_pc)
+    {
+        pipeline.controlOp(branch_unit.trainBranch(pc, taken, next_pc),
+                           taken);
+    }
+
+    void
+    jump(std::uint64_t pc, std::uint64_t next_pc)
+    {
+        pipeline.controlOp(trainJump(branch_unit, code, pc, next_pc),
+                           true);
+    }
+
+    void
+    retire()
+    {
+        pipeline.endOp();
     }
 };
 
@@ -192,40 +257,39 @@ struct WarmHooks
 
 template <bool with_bbv>
 std::uint64_t
-SimulationEngine::runFunctional(std::uint64_t n, bool warm)
+SimulationEngine::runMode(std::uint64_t n, SimMode mode)
 {
     if (!fast_path_enabled_)
-        return runStep<with_bbv>(n, warm);
-    if (warm) {
-        // PGSS/SMARTS fast-forward: the FastOp loop with warm hooks.
-        WarmHooks hooks{*hierarchy_,
-                        *branch_unit_,
-                        program_.code.data(),
-                        warm_fetch_line_,
-                        config_.pipeline.bytes_per_inst,
-                        static_cast<std::uint32_t>(std::countr_zero(
-                            config_.hierarchy.l1i.line_bytes))};
-        return withBbvCallback<with_bbv>(
-            [this, n, &hooks](std::uint64_t &since, auto &&on_taken) {
-                return core_->runFastWith(n, since, on_taken, hooks);
-            });
+        return runStep<with_bbv>(n, mode);
+    switch (mode) {
+      case SimMode::FunctionalFast:
+        return runFastLoop<with_bbv>(n, cpu::NoWarm{});
+      case SimMode::FunctionalWarm:
+        // PGSS/SMARTS fast-forward.
+        return runFastLoop<with_bbv>(
+            n, WarmHooks{*hierarchy_, *branch_unit_,
+                         program_.code.data(), warm_fetch_line_,
+                         config_.pipeline.bytes_per_inst,
+                         static_cast<std::uint32_t>(std::countr_zero(
+                             config_.hierarchy.l1i.line_bytes))});
+      case SimMode::DetailedWarm:
+      case SimMode::DetailedMeasure:
+        return runFastLoop<with_bbv>(
+            n, DetailedHooks{*pipeline_, *branch_unit_,
+                             program_.code.data(), op_timing_.data()});
     }
-    // Fast-forward fast path: batched pre-decoded dispatch, no
-    // DynInst population. ops_since_taken_ carries across chunks (by
-    // reference) so harvests match the step() path bit for bit.
-    return withBbvCallback<with_bbv>(
-        [this, n](std::uint64_t &since, auto &&on_taken) {
-            return core_->runFastWith(n, since, on_taken);
-        });
+    return 0;
 }
 
 template <bool with_bbv>
 std::uint64_t
-SimulationEngine::runStep(std::uint64_t n, bool warm)
+SimulationEngine::runStep(std::uint64_t n, SimMode mode)
 {
-    // The step() interpreter: the differential-testing oracle for both
-    // fast-forward modes (setFastPathEnabled(false)), never a
-    // production path.
+    // The step() interpreter: the differential-testing oracle for
+    // every mode (setFastPathEnabled(false)), never a production path.
+    const bool warm = mode == SimMode::FunctionalWarm;
+    const bool detailed = mode == SimMode::DetailedWarm ||
+                          mode == SimMode::DetailedMeasure;
     cpu::DynInst rec;
     const std::uint32_t line_bytes = config_.hierarchy.l1i.line_bytes;
     const std::uint32_t bytes_per_inst = config_.pipeline.bytes_per_inst;
@@ -233,7 +297,9 @@ SimulationEngine::runStep(std::uint64_t n, bool warm)
 
     while (done < n && core_->step(rec)) {
         ++done;
-        if (warm) {
+        if (detailed) {
+            pipeline_->consume(rec);
+        } else if (warm) {
             const std::uint64_t line =
                 rec.pc * bytes_per_inst / line_bytes;
             if (line != warm_fetch_line_) {
@@ -245,21 +311,6 @@ SimulationEngine::runStep(std::uint64_t n, bool warm)
             if (rec.is_branch || rec.is_jump)
                 branch_unit_->predictAndTrain(rec);
         }
-        if constexpr (with_bbv)
-            trackBbv(rec);
-    }
-    return done;
-}
-
-template <bool with_bbv>
-std::uint64_t
-SimulationEngine::runDetailed(std::uint64_t n)
-{
-    cpu::DynInst rec;
-    std::uint64_t done = 0;
-    while (done < n && core_->step(rec)) {
-        ++done;
-        pipeline_->consume(rec);
         if constexpr (with_bbv)
             trackBbv(rec);
     }
@@ -284,24 +335,19 @@ SimulationEngine::run(std::uint64_t n, SimMode mode)
     // causal per-thread record the Perfetto export is built from.
     obs::ScopedSpan span(obs::engineModeSite(static_cast<int>(mode)));
 
-    std::uint64_t done = 0;
+    const std::uint64_t done =
+        bbv ? runMode<true>(n, mode) : runMode<false>(n, mode);
     switch (mode) {
       case SimMode::FunctionalFast:
-        done = bbv ? runFunctional<true>(n, false)
-                   : runFunctional<false>(n, false);
         mode_ops_.functional_fast += done;
         break;
       case SimMode::FunctionalWarm:
-        done = bbv ? runFunctional<true>(n, true)
-                   : runFunctional<false>(n, true);
         mode_ops_.functional_warm += done;
         break;
       case SimMode::DetailedWarm:
-        done = bbv ? runDetailed<true>(n) : runDetailed<false>(n);
         mode_ops_.detailed_warm += done;
         break;
       case SimMode::DetailedMeasure:
-        done = bbv ? runDetailed<true>(n) : runDetailed<false>(n);
         mode_ops_.detailed_measure += done;
         break;
     }

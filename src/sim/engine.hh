@@ -181,9 +181,8 @@ class SimulationEngine
     void reset();
 
     /**
-     * Enable/disable the batched fast-forward fast path (on by
-     * default). Both fast-forward modes (FunctionalFast and
-     * FunctionalWarm) then fall back to the step() interpreter — the
+     * Enable/disable the batched FastOp loop (on by default). When
+     * off, all four modes run on the step() interpreter instead — the
      * oracle the differential tests compare the fast path against.
      */
     void setFastPathEnabled(bool enabled)
@@ -199,14 +198,12 @@ class SimulationEngine
     timing::InOrderPipeline &pipeline() { return *pipeline_; }
 
   private:
-    template <bool with_bbv, typename Run>
-    std::uint64_t withBbvCallback(Run &&run);
+    template <bool with_bbv, typename Hooks>
+    std::uint64_t runFastLoop(std::uint64_t n, Hooks &&hooks);
     template <bool with_bbv>
-    std::uint64_t runFunctional(std::uint64_t n, bool warm);
+    std::uint64_t runMode(std::uint64_t n, SimMode mode);
     template <bool with_bbv>
-    std::uint64_t runStep(std::uint64_t n, bool warm);
-    template <bool with_bbv>
-    std::uint64_t runDetailed(std::uint64_t n);
+    std::uint64_t runStep(std::uint64_t n, SimMode mode);
 
     void trackBbv(const cpu::DynInst &rec);
 
@@ -227,6 +224,8 @@ class SimulationEngine
 
     std::uint64_t warm_fetch_line_ = ~0ull;
     bool last_was_detailed_ = false;
+    /** Pipeline timing facts per instruction (the DetailedHooks table). */
+    std::vector<timing::OpTiming> op_timing_;
 
     ModeOps mode_ops_;
 

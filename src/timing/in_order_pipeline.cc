@@ -1,6 +1,7 @@
 #include "timing/in_order_pipeline.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "isa/program.hh"
 #include "obs/stats.hh"
@@ -12,6 +13,8 @@ InOrderPipeline::InOrderPipeline(const PipelineConfig &config,
                                  mem::CacheHierarchy &hierarchy,
                                  BranchUnit &branch_unit)
     : config_(config), hierarchy_(hierarchy), branch_unit_(branch_unit),
+      line_shift_(static_cast<std::uint32_t>(
+          std::countr_zero(hierarchy.config().l1i.line_bytes))),
       store_buffer_(config.store_buffer_entries, 0)
 {
 }
@@ -28,162 +31,91 @@ InOrderPipeline::resync()
     issued_this_cycle_ = config_.width; // force a fresh issue cycle
 }
 
-std::uint32_t
-InOrderPipeline::execLatency(const cpu::DynInst &rec)
+namespace
+{
+
+/** Set @p t's latency and divider from its functional class. */
+void
+setClassTiming(OpTiming &t, isa::OpClass op_class,
+               const PipelineConfig &config)
 {
     using isa::OpClass;
-    switch (rec.op_class) {
+    switch (op_class) {
       case OpClass::IntAlu:
-        return config_.int_alu_latency;
+        t.latency = config.int_alu_latency;
+        break;
       case OpClass::IntMul:
-        return config_.int_mul_latency;
+        t.latency = config.int_mul_latency;
+        break;
       case OpClass::IntDiv:
-        return config_.int_div_latency;
+        t.latency = config.int_div_latency;
+        t.divider = OpTiming::Divider::Int;
+        break;
       case OpClass::FpAdd:
-        return config_.fp_add_latency;
+        t.latency = config.fp_add_latency;
+        break;
       case OpClass::FpMul:
-        return config_.fp_mul_latency;
+        t.latency = config.fp_mul_latency;
+        break;
       case OpClass::FpDiv:
-        return config_.fp_div_latency;
+        t.latency = config.fp_div_latency;
+        t.divider = OpTiming::Divider::Fp;
+        break;
       case OpClass::MemWrite:
-        return config_.store_latency;
+        t.latency = config.store_latency;
+        break;
       case OpClass::MemRead:
       case OpClass::Control:
       case OpClass::NoOp:
-        return 1;
+        t.latency = 1;
+        break;
     }
-    return 1;
+}
+
+} // anonymous namespace
+
+std::vector<OpTiming>
+InOrderPipeline::decodeProgram(const isa::Program &program) const
+{
+    std::vector<OpTiming> table;
+    table.reserve(program.code.size());
+    for (const isa::Instruction &inst : program.code) {
+        const isa::OpInfo &info = inst.info();
+        OpTiming t;
+        t.rd = inst.rd;
+        t.rs1 = inst.rs1;
+        t.rs2 = inst.rs2;
+        t.reads_rs1 = info.reads_rs1;
+        t.reads_rs2 = info.reads_rs2;
+        t.writes_rd = info.writes_rd && inst.rd != isa::reg_zero;
+        t.is_store = info.op_class == isa::OpClass::MemWrite;
+        setClassTiming(t, info.op_class, config_);
+        table.push_back(t);
+    }
+    return table;
 }
 
 void
 InOrderPipeline::consume(const cpu::DynInst &rec)
 {
-    // ---- Fetch: I-cache access on each new line.
-    const std::uint64_t inst_addr =
-        rec.pc * config_.bytes_per_inst;
-    const std::uint64_t line =
-        inst_addr / hierarchy_.config().l1i.line_bytes;
-    if (line != cur_fetch_line_) {
-        cur_fetch_line_ = line;
-        ++stats_.icache_line_fetches;
-        const std::uint32_t fetch_lat = hierarchy_.instFetch(inst_addr);
-        if (fetch_lat > 0)
-            fetch_ready_ = std::max(fetch_ready_, cur_cycle_) + fetch_lat;
-    }
-
-    // ---- Issue: in-order, width-limited, operands ready. Track
-    // which constraint last raised the issue cycle so stalls can be
-    // attributed to their binding cause.
-    enum class Stall : std::uint8_t
-    {
-        None,
-        Fetch,
-        Operand,
-        Div,
-        StoreBuffer,
-        Width
-    };
-    Stall cause = Stall::None;
-    std::uint64_t issue = cur_cycle_;
-    if (fetch_ready_ > issue) {
-        issue = fetch_ready_;
-        cause = Stall::Fetch;
-    }
-    if (rec.reads_rs1 && reg_ready_[rec.rs1] > issue) {
-        issue = reg_ready_[rec.rs1];
-        cause = Stall::Operand;
-    }
-    if (rec.reads_rs2 && reg_ready_[rec.rs2] > issue) {
-        issue = reg_ready_[rec.rs2];
-        cause = Stall::Operand;
-    }
-
-    // Structural hazard: unpipelined divide units.
-    if (rec.op_class == isa::OpClass::IntDiv &&
-        int_div_busy_until_ > issue) {
-        issue = int_div_busy_until_;
-        cause = Stall::Div;
-    } else if (rec.op_class == isa::OpClass::FpDiv &&
-               fp_div_busy_until_ > issue) {
-        issue = fp_div_busy_until_;
-        cause = Stall::Div;
-    }
-
-    // Structural hazard: full store buffer.
-    if (rec.is_store) {
-        const std::uint64_t oldest = store_buffer_[store_buffer_head_];
-        if (oldest > issue) {
-            issue = oldest;
-            cause = Stall::StoreBuffer;
-            ++stats_.store_buffer_stalls;
-        }
-    }
-
-    if (issue == cur_cycle_ && issued_this_cycle_ >= config_.width) {
-        issue = cur_cycle_ + 1;
-        cause = Stall::Width;
-    }
-    if (issue > cur_cycle_) {
-        switch (cause) {
-          case Stall::Fetch:
-            ++stats_.fetch_stalls;
-            break;
-          case Stall::Operand:
-            ++stats_.operand_stalls;
-            break;
-          case Stall::Div:
-            ++stats_.div_stalls;
-            break;
-          case Stall::Width:
-            ++stats_.width_stalls;
-            break;
-          case Stall::StoreBuffer: // counted above
-          case Stall::None:
-            break;
-        }
-        cur_cycle_ = issue;
-        issued_this_cycle_ = 0;
-    }
-    ++issued_this_cycle_;
-
-    // ---- Execute.
-    std::uint32_t latency = execLatency(rec);
-    if (rec.is_load) {
-        latency = hierarchy_.dataAccess(rec.mem_addr, false);
-    } else if (rec.is_store) {
-        // The store drains through the store buffer; the D-cache tags
-        // are updated and the buffer entry is busy for the miss time.
-        const std::uint32_t drain =
-            hierarchy_.dataAccess(rec.mem_addr, true);
-        store_buffer_[store_buffer_head_] = issue + drain;
-        store_buffer_head_ =
-            (store_buffer_head_ + 1) % store_buffer_.size();
-    }
-
-    if (rec.op_class == isa::OpClass::IntDiv)
-        int_div_busy_until_ = issue + latency;
-    else if (rec.op_class == isa::OpClass::FpDiv)
-        fp_div_busy_until_ = issue + latency;
-
-    if (rec.writes_rd)
-        reg_ready_[rec.rd] = issue + latency;
-
-    // ---- Control flow: redirects and mispredictions.
-    if (rec.is_branch || rec.is_jump) {
-        const bool mispredict = branch_unit_.predictAndTrain(rec);
-        if (mispredict) {
-            ++stats_.mispredicts;
-            fetch_ready_ =
-                issue + 1 + config_.mispredict_penalty;
-        } else if (rec.taken) {
-            fetch_ready_ = std::max(fetch_ready_, issue) +
-                           config_.taken_branch_bubble;
-        }
-        if (rec.taken)
-            cur_fetch_line_ = ~0ull; // next fetch starts a new group
-    }
-
-    ++stats_.instructions;
+    // Timing facts from the record's own decode in step(), not from
+    // decodeProgram(): the differential tests then also pin the table
+    // to it.
+    OpTiming t;
+    t.rd = rec.rd;
+    t.rs1 = rec.rs1;
+    t.rs2 = rec.rs2;
+    t.reads_rs1 = rec.reads_rs1;
+    t.reads_rs2 = rec.reads_rs2;
+    t.writes_rd = rec.writes_rd;
+    t.is_store = rec.is_store;
+    setClassTiming(t, rec.op_class, config_);
+    beginOp(rec.pc, t);
+    if (rec.is_load || rec.is_store)
+        memOp(rec.mem_addr, rec.is_store);
+    if (rec.is_branch || rec.is_jump)
+        controlOp(branch_unit_.predictAndTrain(rec), rec.taken);
+    endOp();
 }
 
 void

@@ -30,8 +30,11 @@ BinaryWriter::putU8(std::uint8_t v)
 void
 BinaryWriter::append(const void *data, std::size_t n)
 {
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    buf_.insert(buf_.end(), p, p + n);
+    if (n == 0)
+        return;
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, data, n);
 }
 
 void
